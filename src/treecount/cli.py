@@ -16,18 +16,20 @@ import sys
 
 from . import __version__
 from .counting import count_report, count_subtrees, count_leaf_subtrees
-from .enumeration import MAX_ORDER, TreeConstraint, trees_matching
+from .enumeration import MAX_ORDER, TreeConstraint, map_shards, trees_matching
 from .families import FAMILIES, FORMULA_DISPLAY, FamilySpec, closed_form, construct
 from .invariants import invariant_profile
 from .transforms import TransformSpec, apply_transform
 from .tree import parse_tree, serialize_tree
-from .verify import (DEFAULT_RANGE, LEMMA_TAGS, THEOREM_TAGS,
-                     run_lemma_suite, verify_theorem)
+from .verify import (LEMMA_TAGS, THEOREM_TAGS, run_lemma_suite, theorem_orders,
+                     verify_theorem)
 
 
 def _read_tree(path: str, fmt: str):
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="ascii").read()
-    return parse_tree(text, fmt)
+    if path == "-":
+        return parse_tree(sys.stdin.read(), fmt)
+    with open(path, "r", encoding="ascii") as fh:
+        return parse_tree(fh.read(), fmt)
 
 
 def _dump(obj) -> str:
@@ -158,30 +160,9 @@ def _cmd_transform(args) -> int:
     return 0
 
 
-def _sharded_matching(n, constraint, jobs, max_order):
-    """Parallel filter pass; emission order matches the sequential stream."""
-    import multiprocessing
-
-    with multiprocessing.get_context("fork").Pool(jobs) as pool:
-        parts = pool.map(_filter_shard, [(n, constraint, s, jobs, max_order)
-                                         for s in range(jobs)])
-    tagged = [item for part in parts for item in part]
-    for _, t in sorted(tagged, key=lambda item: item[0]):
-        yield t
-
-
-def _filter_shard(args):
-    n, constraint, shard, jobs, max_order = args
-    from .enumeration import all_level_sequences
-    from .tree import tree_from_level_sequence
-    out = []
-    for i, seq in enumerate(all_level_sequences(n, max_order)):
-        if i % jobs != shard:
-            continue
-        t = tree_from_level_sequence(seq)
-        if constraint.admits(t):
-            out.append((i, t))
-    return out
+def _admitted(constraint: TreeConstraint, trees) -> list:
+    """(index within the shard, tree) for each tree the constraint admits."""
+    return [(i, t) for i, t in enumerate(trees) if constraint.admits(t)]
 
 
 def _cmd_enumerate(args) -> int:
@@ -189,10 +170,13 @@ def _cmd_enumerate(args) -> int:
         matching=args.matching, domination=args.domination, diameter=args.diameter,
         leaves=args.leaves, min_max_degree=args.min_max_degree,
         perfect_matching=args.perfect_matching)
-    if args.jobs > 1:
-        stream = _sharded_matching(args.n, constraint, args.jobs, args.max_order)
-    else:
+    if args.jobs == 1:
         stream = trees_matching(args.n, constraint, max_order=args.max_order)
+    else:
+        parts = map_shards(_admitted, constraint, args.n, args.jobs, args.max_order)
+        # tree i of shard s comes at position i * jobs + s of the sequential stream
+        stream = [t for _, _, t in sorted((i, s, t) for s, part in enumerate(parts)
+                                          for i, t in part)]
     if args.count_only:
         print(sum(1 for _ in stream))
         return 0
@@ -214,10 +198,10 @@ def _cmd_verify(args) -> int:
         print("verify: exactly one of --theorem/--lemma is required", file=sys.stderr)
         return 2
     if args.theorem:
+        orders = theorem_orders(args.theorem, args.n_min, args.n_max)
         results = verify_theorem(args.theorem, n_min=args.n_min, n_max=args.n_max,
                                  jobs=args.jobs, formula_variant=args.formula_variant)
-        lo, hi = DEFAULT_RANGE[args.theorem]
-        header = (f"# theorem={args.theorem} n={args.n_min or lo}..{args.n_max or hi} "
+        header = (f"# theorem={args.theorem} n={orders[0]}..{orders[-1]} "
                   f"jobs={args.jobs} formula={args.formula_variant}")
     else:
         results = run_lemma_suite(args.lemma, samples=args.samples, seed=args.seed)
@@ -281,11 +265,19 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # exact counts such as 2^(n-1) on a star outgrow the default 4300-digit
+    # int-to-str limit; it is process-wide, so it is put back on return
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, LookupError, OSError) as exc:
         print(f"treecount {args.command}: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

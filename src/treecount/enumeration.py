@@ -14,14 +14,17 @@ for sampled property checks) come from random Pruefer sequences.
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from . import invariants
 from .tree import Tree, tree_from_level_sequence
 
 MAX_ORDER = 24
+
+_R = TypeVar("_R")
 
 
 class TooLargeError(ValueError):
@@ -116,6 +119,28 @@ def all_trees_sharded(n: int, shard: int, jobs: int,
     for i, seq in enumerate(all_level_sequences(n, max_order)):
         if i % jobs == shard:
             yield tree_from_level_sequence(seq)
+
+
+def map_shards(fn: Callable[[object, Iterator[Tree]], _R], arg: object, n: int,
+               jobs: int, max_order: int = MAX_ORDER) -> list[_R]:
+    """``[fn(arg, all_trees_sharded(n, s, jobs)) for s in range(jobs)]``.
+
+    With ``jobs > 1`` the shards run in a pool of ``jobs`` forked workers, so
+    ``fn`` must be a module-level function and ``arg`` and the results must
+    pickle.  The i-th tree of shard s is tree ``i * jobs + s`` of all_trees.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    tasks = [(fn, arg, n, shard, jobs, max_order) for shard in range(jobs)]
+    if jobs == 1:
+        return [_run_shard(tasks[0])]
+    with multiprocessing.get_context("fork").Pool(jobs) as pool:
+        return pool.map(_run_shard, tasks)
+
+
+def _run_shard(task: tuple) -> object:
+    fn, arg, n, shard, jobs, max_order = task
+    return fn(arg, all_trees_sharded(n, shard, jobs, max_order))
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,20 @@ connected ones: a subset of a tree induces a forest, so it is connected
 exactly when its induced edge count is one less than its size.  Distances
 come from per-vertex BFS.  Deliberately shares no code with the product-form
 counters in :mod:`treecount.counting`; it exists to check them.
+
+numpy (the ``oracle`` extra) is imported inside the functions that use it,
+so importing treecount does not need or load it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .counting import CountReport
 from .tree import Tree
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ORACLE_MAX_ORDER = 20
 
@@ -23,6 +29,7 @@ class TooLargeError(ValueError):
 
 def _connectivity_table(t: Tree) -> tuple[np.ndarray, np.ndarray]:
     """(index array, boolean mask over all 2^n subsets marking connected ones)."""
+    import numpy as np
     if t.n > ORACLE_MAX_ORDER:
         raise TooLargeError(f"n={t.n} exceeds oracle bound {ORACLE_MAX_ORDER}")
     idx = np.arange(1 << t.n, dtype=np.uint32)
@@ -53,6 +60,7 @@ def _bfs_distances(t: Tree, src: int) -> list[int]:
 
 def oracle_counts(t: Tree) -> CountReport:
     """CountReport computed the slow, obviously-correct way (n <= 20)."""
+    import numpy as np
     idx, connected = _connectivity_table(t)
     leaf_mask = 0
     for v in range(t.n):
@@ -75,6 +83,7 @@ def oracle_counts(t: Tree) -> CountReport:
 
 def oracle_pair_count(t: Tree, u: int, v: int) -> int:
     """Number of connected subsets containing both u and v, by enumeration."""
+    import numpy as np
     if u == v:
         raise ValueError("anchors must be distinct")
     idx, connected = _connectivity_table(t)

@@ -180,18 +180,24 @@ def centers(t: Tree) -> tuple[int, ...]:
     return tuple(sorted(layer))
 
 
-def _rooted_level_seq(adj, root: int) -> tuple[int, ...]:
+def _rooted_level_seq(t: Tree, root: int) -> tuple[int, ...]:
     # Lexicographically smallest preorder depth sequence over all plane
     # embeddings: child blocks are sorted ascending, which minimizes the
-    # concatenation because a block has exactly one depth-1 entry.
-    def rec(v: int, parent: int) -> tuple[int, ...]:
-        blocks = sorted(rec(w, v) for w in adj[v] if w != parent)
-        seq = [0]
-        for b in blocks:
-            seq.extend(d + 1 for d in b)
-        return tuple(seq)
-
-    return rec(root, -1)
+    # concatenation because a block has exactly one entry at its top depth.
+    # Blocks hold depths from the root, so sibling blocks compare as their
+    # shifted copies would and none is shifted; children are done before
+    # their parent in reverse preorder, so no recursion limit applies.
+    order, parent = preorder(t, root)
+    depth = [0] * t.n
+    for v in order[1:]:
+        depth[v] = depth[parent[v]] + 1
+    blocks: dict[int, list[int]] = {}
+    for v in reversed(order):
+        seq = [depth[v]]
+        for block in sorted(blocks.pop(w) for w in t.adj[v] if w != parent[v]):
+            seq.extend(block)
+        blocks[v] = seq
+    return tuple(blocks[root])
 
 
 def canonical_form(t: Tree) -> CanonicalForm:
@@ -200,7 +206,7 @@ def canonical_form(t: Tree) -> CanonicalForm:
     For bicentral trees the rooting giving the lexicographically smaller
     sequence wins, so the result does not depend on the center choice.
     """
-    return CanonicalForm(min(_rooted_level_seq(t.adj, c) for c in centers(t)))
+    return CanonicalForm(min(_rooted_level_seq(t, c) for c in centers(t)))
 
 
 def is_isomorphic(a: Tree, b: Tree) -> bool:
@@ -308,18 +314,6 @@ def path_between(t: Tree, u: int, v: int) -> tuple[int, ...]:
     while path[-1] != v:
         path.append(parent[path[-1]])
     return tuple(path)
-
-
-def _component_without(t: Tree, banned: int, start: int) -> list[int]:
-    """Vertices of the component of t - banned that contains start."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in t.adj[stack.pop()]:
-            if w != banned and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return sorted(seen)
 
 
 def path_decomposition(t: Tree, x: int, y: int) -> PathDecomposition:

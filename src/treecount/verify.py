@@ -13,12 +13,12 @@ with canonical-form tie-breaking, so reports are byte-identical for any
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from . import counting, invariants
-from .enumeration import all_trees_sharded, random_labeled_tree
+from .enumeration import map_shards, random_labeled_tree
 from .families import FamilySpec, closed_form, construct
 from .transforms import (a_transform, b_transform, c_transform,
                          classify_c_anchor, is_pendant_path_component)
@@ -26,22 +26,8 @@ from .tree import (CanonicalForm, Tree, canonical_form, induced_subtree,
                    is_isomorphic, path_decomposition, serialize_tree,
                    tree_from_level_sequence)
 
-THEOREM_TAGS = ("T4.1", "T4.2", "T4.3", "T4.4", "T4.5", "T4.6", "T4.7", "T4.8", "L2star")
 LEMMA_TAGS = ("L3.1", "L3.2", "L3.3", "leaf-deletion", "pendant-edge",
               "path-attachment", "path-comparison")
-
-# (default n_min, default n_max); T4.3 and T4.6 use even orders only
-DEFAULT_RANGE = {
-    "T4.1": (4, 14), "T4.2": (4, 14), "T4.3": (4, 16), "T4.4": (6, 14),
-    "T4.5": (4, 14), "T4.6": (4, 14), "T4.7": (3, 14), "T4.8": (3, 14),
-    "L2star": (3, 12),
-}
-
-# smallest order on which each statement (and its closed forms) is defined
-_MIN_ORDER = {
-    "T4.1": 3, "T4.2": 3, "T4.3": 4, "T4.4": 6, "T4.5": 4, "T4.6": 4,
-    "T4.7": 3, "T4.8": 3, "L2star": 3,
-}
 
 
 class UnknownTagError(ValueError):
@@ -83,63 +69,134 @@ class VerificationResult:
 
 
 # ---------------------------------------------------------------------------
-# enumeration scan: per-tree records, sharded aggregation
+# the theorem catalog
 # ---------------------------------------------------------------------------
 
-def _both_counts(t: Tree) -> dict[str, int]:
-    return {"F": counting.count_subtrees(t), "Fstar": counting.count_leaf_subtrees(t)}
+@dataclass(frozen=True)
+class _Theorem:
+    """One catalog statement: over the n-vertex trees of each class, the
+    class's family member attains the extremum of every quantity."""
+
+    keys: Callable[[Tree], tuple]   # the classes a tree falls in; () skips it
+    quantities: tuple[str, ...]
+    extremum: str | None            # "max" or "min"; None: the class key names it
+    # (row constraint, class key, family member) for each class of order n
+    classes: Callable[[int], list[tuple[dict, object, FamilySpec]]]
+    unique: bool                    # the member must be the only extremizer
+    default_range: tuple[int, int]
+    min_order: int                  # smallest order the statement and its closed forms cover
+    threshold: bool = False         # class k holds every tree whose key is >= k
+    even_only: bool = False
 
 
-def _tree_records(tag: str, t: Tree) -> list[tuple[object, dict[str, int]]]:
-    """(class key, quantity values) contributed by one tree; [] to skip it."""
-    if tag == "T4.1":
-        return [(invariants.matching_number(t), _both_counts(t))]
-    if tag in ("T4.2", "T4.3", "T4.4"):
-        return [(invariants.domination_number(t), _both_counts(t))]
-    if tag == "T4.5":
-        return [(max(len(a) for a in t.adj),
-                 {"Fstar": counting.count_leaf_subtrees(t)})]
-    if tag == "T4.6":
-        if t.n % 2 or invariants.matching_number(t) != t.n // 2:
-            return []
-        return [(max(len(a) for a in t.adj), _both_counts(t))]
-    if tag == "T4.7":
-        return [(len(t.leaves()), {"Fstar": counting.count_leaf_subtrees(t)})]
-    if tag == "T4.8":
-        return [(invariants.diameter(t), {"Fstar": counting.count_leaf_subtrees(t)})]
-    if tag == "L2star":
-        v = counting.count_leaf_subtrees(t)
-        return [("min", {"Fstar": v}), ("max", {"Fstar": v})]
-    raise UnknownTagError(tag)
+# Looked up at call time, so that a wrapper put on the counting module is seen.
+_COUNTERS = {"F": lambda t: counting.count_subtrees(t),
+             "Fstar": lambda t: counting.count_leaf_subtrees(t)}
 
 
-def _mode(tag: str, key: object) -> str:
+def _domination(t: Tree) -> tuple:
+    return (invariants.domination_number(t),)
+
+
+def _max_degree(t: Tree) -> tuple:
+    return (max(len(a) for a in t.adj),)
+
+
+def _pk_ab(n: int) -> FamilySpec:
+    a = (n - 4) // 2
+    return FamilySpec("pk_ab", k=4, a=a, b=n - 4 - a)
+
+
+_THEOREMS = {
+    "T4.1": _Theorem(
+        keys=lambda t: (invariants.matching_number(t),), quantities=("F", "Fstar"),
+        extremum="max", unique=True, default_range=(4, 14), min_order=3,
+        classes=lambda n: [({"q": q}, q, FamilySpec("a_nq", n=n, q=q))
+                           for q in range(1, n // 2 + 1)]),
+    "T4.2": _Theorem(
+        keys=_domination, quantities=("F", "Fstar"),
+        extremum="max", unique=False, default_range=(4, 14), min_order=3,
+        classes=lambda n: [({"gamma": g}, g, FamilySpec("a_nq", n=n, q=g))
+                           for g in range(1, n // 2 + 1)]),
+    "T4.3": _Theorem(
+        keys=_domination, quantities=("F", "Fstar"),
+        extremum="min", unique=True, default_range=(4, 16), min_order=4, even_only=True,
+        classes=lambda n: [({"gamma": n // 2}, n // 2, FamilySpec("corona_path", m=n // 2))]),
+    "T4.4": _Theorem(
+        keys=_domination, quantities=("F", "Fstar"),
+        extremum="min", unique=True, default_range=(6, 14), min_order=6,
+        classes=lambda n: [({"gamma": 2}, 2, _pk_ab(n))]),
+    "T4.5": _Theorem(
+        keys=_max_degree, quantities=("Fstar",),
+        extremum="min", unique=True, default_range=(4, 14), min_order=4, threshold=True,
+        classes=lambda n: [({"min_max_degree": d}, d, FamilySpec("t_ndelta", n=n, delta=d))
+                           for d in range(3, n)]),
+    "T4.6": _Theorem(
+        keys=lambda t: _max_degree(t) if 2 * invariants.matching_number(t) == t.n else (),
+        quantities=("F", "Fstar"),
+        extremum="min", unique=True, default_range=(4, 14), min_order=4, threshold=True,
+        even_only=True,
+        classes=lambda n: [({"min_max_degree": d, "perfect_matching": True}, d,
+                            FamilySpec("tprime_ndelta", n=n, delta=d))
+                           for d in range(3, n)]),
+    "T4.7": _Theorem(
+        keys=lambda t: (len(t.leaves()),), quantities=("Fstar",),
+        extremum="max", unique=True, default_range=(3, 14), min_order=3,
+        classes=lambda n: [({"leaves": k}, k, FamilySpec("spider", n=n, k=k))
+                           for k in range(2, n)]),
     # T4.8 is a maximization: the bound chains the diameter-class subtree-count
     # maximum through the stem identity, giving F*(T) <= F*(hat) with equality
     # only at the balanced hat (the double star beats the hat from below
-    # already at n=6, d=3).
-    if tag == "L2star":
-        return str(key)
-    return "max" if tag in ("T4.1", "T4.2", "T4.7", "T4.8") else "min"
+    # already at n=6, d=3).  Its rows also hold the F closed form to the count
+    # on the built hat.
+    "T4.8": _Theorem(
+        keys=lambda t: (invariants.diameter(t),), quantities=("Fstar",),
+        extremum="max", unique=True, default_range=(3, 14), min_order=3,
+        classes=lambda n: [({"d": d}, d, FamilySpec("hat", n=n, d=d))
+                           for d in range(2, n)]),
+    "L2star": _Theorem(
+        keys=lambda t: ("min", "max"), quantities=("Fstar",),
+        extremum=None, unique=False, default_range=(3, 12), min_order=3,
+        classes=lambda n: [({"extremum": "min"}, "min", FamilySpec("path", n=n)),
+                           ({"extremum": "max"}, "max", FamilySpec("star", n=n))]),
+}
+
+THEOREM_TAGS = tuple(_THEOREMS)
+# (default n_min, default n_max) per theorem
+DEFAULT_RANGE = {tag: th.default_range for tag, th in _THEOREMS.items()}
+
+_PRODUCT_NOTE = ("single-leg binomial tail evaluated as a product, the literal "
+                 "reading of the displayed count; the direct decomposition "
+                 "requires their sum")
 
 
-def _scan_shard(args: tuple[str, int, int, int]):
-    """Aggregate one enumeration shard: key -> {qty: [extreme value, canon set]}."""
-    tag, n, shard, jobs = args
+# ---------------------------------------------------------------------------
+# enumeration scan: per-class extremes, sharded aggregation
+# ---------------------------------------------------------------------------
+
+def _better(val: int, cur: int, mode: str) -> bool:
+    return val > cur if mode == "max" else val < cur
+
+
+def _scan_shard(tag: str, trees: Iterable[Tree]):
+    """Aggregate one enumeration shard: key -> {qty: [extreme value, canon set]},
+    and key -> class size."""
+    th = _THEOREMS[tag]
     agg: dict = {}
     counts: dict = {}
-    for t in all_trees_sharded(n, shard, jobs):
-        recs = _tree_records(tag, t)
-        if not recs:
+    for t in trees:
+        keys = th.keys(t)
+        if not keys:
             continue
+        values = {qty: _COUNTERS[qty](t) for qty in th.quantities}
         canon = None
-        for key, values in recs:
+        for key in keys:
             counts[key] = counts.get(key, 0) + 1
             slot = agg.setdefault(key, {})
-            mode = _mode(tag, key)
+            mode = th.extremum or key
             for qty, val in values.items():
                 cur = slot.get(qty)
-                better = cur is None or (val > cur[0] if mode == "max" else val < cur[0])
+                better = cur is None or _better(val, cur[0], mode)
                 if better or val == cur[0]:
                     if canon is None:
                         canon = canonical_form(t).level_seq
@@ -150,54 +207,43 @@ def _scan_shard(args: tuple[str, int, int, int]):
     return agg, counts
 
 
-def _scan(tag: str, n: int, jobs: int):
-    if jobs <= 1:
-        return _scan_shard((tag, n, 0, 1))
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(jobs) as pool:
-        parts = pool.map(_scan_shard, [(tag, n, s, jobs) for s in range(jobs)])
-    agg: dict = {}
-    counts: dict = {}
-    for part_agg, part_counts in parts:
-        for key, c in part_counts.items():
-            counts[key] = counts.get(key, 0) + c
-        for key, slot in part_agg.items():
-            mine = agg.setdefault(key, {})
-            for qty, (val, canons) in slot.items():
-                _merge_entry(mine, qty, val, canons, _mode(tag, key))
-    return agg, counts
-
-
 def _merge_entry(slot: dict, qty: str, val: int, canons: set, mode: str) -> None:
     cur = slot.get(qty)
-    if cur is None or (val > cur[0] if mode == "max" else val < cur[0]):
+    if cur is None or _better(val, cur[0], mode):
         slot[qty] = [val, set(canons)]
     elif val == cur[0]:
         cur[1].update(canons)
 
 
-def _merged_threshold(agg: dict, counts: dict, threshold: int, mode: str):
-    """Combine the exact-max-degree buckets >= threshold into one class."""
+def _scan(tag: str, n: int, jobs: int):
+    th = _THEOREMS[tag]
+    (agg, counts), *rest = map_shards(_scan_shard, tag, n, jobs)
+    for part_agg, part_counts in rest:
+        for key, c in part_counts.items():
+            counts[key] = counts.get(key, 0) + c
+        for key, slot in part_agg.items():
+            mine = agg.setdefault(key, {})
+            for qty, (val, canons) in slot.items():
+                _merge_entry(mine, qty, val, canons, th.extremum or key)
+    return agg, counts
+
+
+def _class_entry(th: _Theorem, agg: dict, counts: dict, key) -> tuple[dict, int]:
+    """(quantity slot, size) of one class; a threshold class merges every
+    key >= its own."""
+    if not th.threshold:
+        return agg.get(key, {}), counts.get(key, 0)
     slot: dict = {}
-    size = 0
-    for key, c in counts.items():
-        if key >= threshold:
-            size += c
-    for key, s in agg.items():
-        if key >= threshold:
+    for k, s in agg.items():
+        if k >= key:
             for qty, (val, canons) in s.items():
-                _merge_entry(slot, qty, val, canons, mode)
-    return slot, size
+                _merge_entry(slot, qty, val, canons, th.extremum)
+    return slot, sum(c for k, c in counts.items() if k >= key)
 
 
 # ---------------------------------------------------------------------------
 # row assembly
 # ---------------------------------------------------------------------------
-
-def _vacuous(tag: str, n: int, constraint: dict) -> VerificationResult:
-    return VerificationResult(tag, n, constraint, None, None, (), None, True,
-                              class_size=0, notes="empty class")
-
 
 def _extremal_row(tag: str, n: int, constraint: dict, claimed: int,
                   entry: list, expected_seq: tuple[int, ...], unique: bool,
@@ -220,125 +266,57 @@ def _extremal_row(tag: str, n: int, constraint: dict, claimed: int,
 
 def _assemble(tag: str, n: int, agg: dict, counts: dict,
               formula_variant: str) -> list[VerificationResult]:
+    th = _THEOREMS[tag]
+    hat = tag == "T4.8"
+    notes = _PRODUCT_NOTE if hat and formula_variant == "product" else ""
     rows: list[VerificationResult] = []
-
-    if tag in ("T4.1", "T4.2"):
-        unique = tag == "T4.1"
-        name = "q" if tag == "T4.1" else "gamma"
-        for q in range(1, n // 2 + 1):
-            spec = FamilySpec("a_nq", n=n, q=q)
-            if q not in agg:
-                rows.append(_vacuous(tag, n, {name: q}))
-                continue
-            expected = canonical_form(construct(spec)).level_seq
-            for qty in ("F", "Fstar"):
-                rows.append(_extremal_row(
-                    tag, n, {name: q, "quantity": qty},
-                    closed_form(spec, qty).value, agg[q][qty], expected,
-                    unique, counts[q]))
-        return rows
-
-    if tag == "T4.3":
-        gamma = n // 2
-        spec = FamilySpec("corona_path", m=gamma)
-        if gamma not in agg:
-            return [_vacuous(tag, n, {"gamma": gamma})]
-        expected = canonical_form(construct(spec)).level_seq
-        for qty in ("F", "Fstar"):
-            rows.append(_extremal_row(
-                tag, n, {"gamma": gamma, "quantity": qty},
-                closed_form(spec, qty).value, agg[gamma][qty], expected,
-                True, counts[gamma]))
-        return rows
-
-    if tag == "T4.4":
-        a = (n - 4) // 2
-        spec = FamilySpec("pk_ab", k=4, a=a, b=n - 4 - a)
-        if 2 not in agg:
-            return [_vacuous(tag, n, {"gamma": 2})]
-        expected = canonical_form(construct(spec)).level_seq
-        for qty in ("F", "Fstar"):
-            rows.append(_extremal_row(
-                tag, n, {"gamma": 2, "quantity": qty},
-                closed_form(spec, qty).value, agg[2][qty], expected,
-                True, counts[2]))
-        return rows
-
-    if tag in ("T4.5", "T4.6"):
-        fam = "t_ndelta" if tag == "T4.5" else "tprime_ndelta"
-        quantities = ("Fstar",) if tag == "T4.5" else ("F", "Fstar")
-        for delta in range(3, n):
-            slot, size = _merged_threshold(agg, counts, delta, "min")
-            base = {"min_max_degree": delta}
-            if tag == "T4.6":
-                base["perfect_matching"] = True
-            if size == 0:
-                rows.append(_vacuous(tag, n, base))
-                continue
-            spec = FamilySpec(fam, n=n, delta=delta)
-            expected = canonical_form(construct(spec)).level_seq
-            for qty in quantities:
-                rows.append(_extremal_row(
-                    tag, n, dict(base, quantity=qty),
-                    closed_form(spec, qty).value, slot[qty], expected,
-                    True, size))
-        return rows
-
-    if tag == "T4.7":
-        for k in range(2, n):
-            spec = FamilySpec("spider", n=n, k=k)
-            if k not in agg:
-                rows.append(_vacuous(tag, n, {"leaves": k}))
-                continue
-            expected = canonical_form(construct(spec)).level_seq
-            rows.append(_extremal_row(
-                tag, n, {"leaves": k, "quantity": "Fstar"},
-                closed_form(spec, "Fstar").value, agg[k]["Fstar"], expected,
-                True, counts[k]))
-        return rows
-
-    if tag == "T4.8":
-        variant_note = ""
-        if formula_variant == "product":
-            variant_note = ("single-leg binomial tail evaluated as a product, "
-                            "the literal reading of the displayed count; the "
-                            "direct decomposition requires their sum")
-        for d in range(2, n):
-            spec = FamilySpec("hat", n=n, d=d)
-            if d not in agg:
-                rows.append(_vacuous(tag, n, {"d": d}))
-                continue
-            built = construct(spec)
-            expected = canonical_form(built).level_seq
-            rows.append(_extremal_row(
-                tag, n, {"d": d, "quantity": "Fstar", "formula": formula_variant},
-                closed_form(spec, "Fstar", binomial_term=formula_variant).value,
-                agg[d]["Fstar"], expected, True, counts[d], variant_note))
+    for constraint, key, spec in th.classes(n):
+        slot, size = _class_entry(th, agg, counts, key)
+        if not size:
+            rows.append(VerificationResult(tag, n, constraint, None, None, (), None, True,
+                                           class_size=0, notes="empty class"))
+            continue
+        built = construct(spec)
+        expected = canonical_form(built).level_seq
+        for qty in th.quantities:
+            cell = dict(constraint, quantity=qty)
+            if hat:
+                cell["formula"] = formula_variant
+            claimed = closed_form(spec, qty, binomial_term=formula_variant).value
+            rows.append(_extremal_row(tag, n, cell, claimed, slot[qty], expected,
+                                      th.unique, size, notes))
+        if hat:
             claimed_f = closed_form(spec, "F", binomial_term=formula_variant).value
             achieved_f = counting.count_subtrees(built)
             rows.append(VerificationResult(
-                tag, n, {"d": d, "quantity": "F", "check": "formula-vs-count",
-                         "formula": formula_variant},
+                tag, n, dict(constraint, quantity="F", check="formula-vs-count",
+                             formula=formula_variant),
                 claimed_f, achieved_f, (), CanonicalForm(expected),
-                claimed_f == achieved_f, class_size=counts[d],
+                claimed_f == achieved_f, class_size=size,
                 counterexample=None if claimed_f == achieved_f else built,
-                notes=variant_note))
-        return rows
+                notes=notes))
+    return rows
 
-    if tag == "L2star":
-        path_spec = FamilySpec("path", n=n)
-        star_spec = FamilySpec("star", n=n)
-        rows.append(_extremal_row(
-            tag, n, {"extremum": "min", "quantity": "Fstar"},
-            closed_form(path_spec, "Fstar").value, agg["min"]["Fstar"],
-            canonical_form(construct(path_spec)).level_seq, False, counts["min"]))
-        rows.append(_extremal_row(
-            tag, n, {"extremum": "max", "quantity": "Fstar"},
-            closed_form(star_spec, "Fstar").value, agg["max"]["Fstar"],
-            canonical_form(construct(star_spec)).level_seq, False, counts["max"]))
-        return rows
 
-    raise UnknownTagError(tag)
+def theorem_orders(tag: str, n_min: int | None = None,
+                   n_max: int | None = None) -> list[int]:
+    """The orders ``verify_theorem`` checks: the requested range (default
+    ``DEFAULT_RANGE[tag]``) clipped to the orders the statement covers.
+
+    Raises ValueError when no order is left, since a run that checks nothing
+    must not pass.
+    """
+    if tag not in _THEOREMS:
+        raise UnknownTagError(f"unknown theorem tag {tag!r}")
+    th = _THEOREMS[tag]
+    lo, hi = th.default_range
+    lo = max(lo if n_min is None else n_min, th.min_order)
+    hi = hi if n_max is None else n_max
+    orders = [n for n in range(lo, hi + 1) if not (th.even_only and n % 2)]
+    if not orders:
+        parity = " even" if th.even_only else ""
+        raise ValueError(f"{tag} has no{parity} order to check in {lo}..{hi}")
+    return orders
 
 
 def verify_theorem(tag: str, n_min: int | None = None, n_max: int | None = None,
@@ -348,15 +326,8 @@ def verify_theorem(tag: str, n_min: int | None = None, n_max: int | None = None,
     ``formula_variant`` selects the binomial-tail reading for T4.8 ("sum" is
     the corrected default, "product" reproduces the flawed literal one).
     """
-    if tag not in THEOREM_TAGS:
-        raise UnknownTagError(f"unknown theorem tag {tag!r}")
-    lo, hi = DEFAULT_RANGE[tag]
-    lo = max(lo if n_min is None else n_min, _MIN_ORDER[tag])
-    hi = hi if n_max is None else n_max
     rows: list[VerificationResult] = []
-    for n in range(lo, hi + 1):
-        if tag in ("T4.3", "T4.6") and n % 2:
-            continue
+    for n in theorem_orders(tag, n_min, n_max):
         agg, counts = _scan(tag, n, jobs)
         rows.extend(_assemble(tag, n, agg, counts, formula_variant))
     return rows

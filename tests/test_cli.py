@@ -1,4 +1,5 @@
 import json
+import sys
 
 import jsonschema
 import pytest
@@ -71,6 +72,24 @@ class TestConstruct:
                                "--n", "4", "--format", "levelseq")
         assert code == 0 and out == "0 1 1 1\n"
 
+    def test_levelseq_deep_path(self, capsys):
+        code, out, _ = run_cli(capsys, "construct", "--family", "path",
+                               "--n", "3000", "--format", "levelseq")
+        assert code == 0
+        assert out.split() == [str(d) for d in (0, *range(1, 1500), *range(1, 1501))]
+
+    def test_closed_form_past_int_str_limit(self, capsys):
+        before = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(capsys, "construct", "--family", "star",
+                               "--n", "20000", "--closed-form", "F")
+        assert code == 0 and sys.get_int_max_str_digits() == before
+        value, _ = out.split(" ", 1)
+        sys.set_int_max_str_digits(0)
+        try:
+            assert value == str(2 ** 19999 + 19999)
+        finally:
+            sys.set_int_max_str_digits(before)
+
     def test_bad_params_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "construct", "--family", "a_nq",
                                "--n", "5", "--q", "3")
@@ -117,6 +136,17 @@ class TestEnumerate:
         lines = out.splitlines()
         assert lines[0] == "n,edges" and len(lines) == 3
 
+    def test_jobs_do_not_change_output(self, capsys):
+        _, out1, _ = run_cli(capsys, "enumerate", "--n", "10", "--matching", "3")
+        code, out2, _ = run_cli(capsys, "enumerate", "--n", "10", "--matching", "3",
+                                "--jobs", "2")
+        assert code == 0 and out1 and out1 == out2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "enumerate", "--n", "6", "--jobs", jobs)
+        assert code == 2 and out == "" and "jobs" in err
+
 
 class TestVerify:
     def test_passing_run_exit_zero(self, capsys, tmp_path):
@@ -151,6 +181,28 @@ class TestVerify:
         _, out2, _ = run_cli(capsys, "verify", "--theorem", "T4.1",
                              "--n-min", "5", "--n-max", "8", "--jobs", "2")
         assert out1.replace("jobs=1", "jobs=2") == out2
+
+    @pytest.mark.parametrize("tag, lo, hi", [("T4.1", "9", "5"), ("T4.3", "5", "5")])
+    def test_empty_range_rejected(self, capsys, tag, lo, hi):
+        code, out, err = run_cli(capsys, "verify", "--theorem", tag,
+                                 "--n-min", lo, "--n-max", hi)
+        assert code == 2 and "checks passed" not in out and tag in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, capsys, jobs):
+        code, out, err = run_cli(capsys, "verify", "--theorem", "T4.1",
+                                 "--n-min", "5", "--n-max", "6", "--jobs", jobs)
+        assert code == 2 and "checks passed" not in out and "jobs" in err
+
+    @pytest.mark.parametrize("tag, lo, hi, orders", [("T4.4", "2", "6", [6]),
+                                                     ("T4.1", "0", "4", [3, 4]),
+                                                     ("T4.6", "5", "11", [6, 8, 10])])
+    def test_header_shows_checked_orders(self, capsys, tag, lo, hi, orders):
+        code, out, _ = run_cli(capsys, "verify", "--theorem", tag,
+                               "--n-min", lo, "--n-max", hi)
+        lines = out.splitlines()
+        assert code == 0 and lines[0].split()[2] == f"n={orders[0]}..{orders[-1]}"
+        assert sorted({int(line.split()[2][2:]) for line in lines[1:-1]}) == orders
 
     def test_csv_mode(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--theorem", "L2star",

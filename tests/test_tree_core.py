@@ -56,6 +56,12 @@ class TestSerialize:
     def test_levelseq_bytes(self):
         assert serialize_tree(make_star(4), "levelseq") == "0 1 1 1\n"
 
+    def test_levelseq_deep_path(self):
+        # far deeper than the interpreter's recursion limit; the 2500-vertex
+        # arm comes after the 2499-vertex one, its prefix
+        depths = [0, *range(1, 2500), *range(1, 2501)]
+        assert serialize_tree(make_path(5000), "levelseq") == " ".join(map(str, depths)) + "\n"
+
     def test_roundtrip_all_small(self):
         for n in range(1, 11):
             for t in all_trees(n):

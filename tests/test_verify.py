@@ -6,8 +6,8 @@ import pytest
 from treecount.families import FamilySpec, construct
 from treecount.schemas import VERIFICATION_SCHEMA
 from treecount.tree import canonical_form
-from treecount.verify import (LEMMA_TAGS, UnknownTagError, run_lemma_suite,
-                              verify_theorem)
+from treecount.verify import (LEMMA_TAGS, THEOREM_TAGS, UnknownTagError,
+                              run_lemma_suite, verify_theorem)
 
 
 class TestTheoremRuns:
@@ -86,11 +86,12 @@ class TestProductVariant:
 
 
 class TestDeterminismAndSerialization:
-    def test_jobs_do_not_change_report(self):
-        a = [r.to_json_dict() for r in verify_theorem("T4.1", n_min=6, n_max=9, jobs=1)]
-        b = [r.to_json_dict() for r in verify_theorem("T4.1", n_min=6, n_max=9, jobs=2)]
-        c = [r.to_json_dict() for r in verify_theorem("T4.1", n_min=6, n_max=9, jobs=3)]
-        assert json.dumps(a) == json.dumps(b) == json.dumps(c)
+    @pytest.mark.parametrize("tag", THEOREM_TAGS)
+    def test_jobs_do_not_change_report(self, tag):
+        a = [r.to_json_dict() for r in verify_theorem(tag, n_min=6, n_max=9, jobs=1)]
+        b = [r.to_json_dict() for r in verify_theorem(tag, n_min=6, n_max=9, jobs=2)]
+        c = [r.to_json_dict() for r in verify_theorem(tag, n_min=6, n_max=9, jobs=3)]
+        assert a and json.dumps(a) == json.dumps(b) == json.dumps(c)
 
     def test_report_schema(self):
         rows = verify_theorem("T4.8", n_min=3, n_max=5, formula_variant="product")
