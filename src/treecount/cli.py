@@ -88,12 +88,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lemma", choices=LEMMA_TAGS)
     p.add_argument("--n-min", type=int)
     p.add_argument("--n-max", type=int)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--samples", type=int, default=300)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--formula-variant", choices=("sum", "product"), default="sum",
-                   help="T4.8 binomial-tail reading (product reproduces the "
-                        "flawed literal display)")
+    p.add_argument("--jobs", type=int, help="theorem only (default 1)")
+    p.add_argument("--samples", type=int, help="lemma only (default 300)")
+    p.add_argument("--seed", type=int, help="lemma only (default 0)")
+    p.add_argument("--formula-variant", choices=("sum", "product"),
+                   help="theorem only: T4.8 binomial-tail reading (default sum; "
+                        "product reproduces the flawed literal display)")
     p.add_argument("--json", metavar="PATH", help="also write the JSON report here")
     p.add_argument("--csv", action="store_true")
 
@@ -193,10 +193,24 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+# verify flags that only one mode reads, with their defaults
+_THEOREM_FLAGS = {"jobs": 1, "n_min": None, "n_max": None, "formula_variant": "sum"}
+_LEMMA_FLAGS = {"samples": 300, "seed": 0}
+
+
 def _cmd_verify(args) -> int:
     if (args.theorem is None) == (args.lemma is None):
         print("verify: exactly one of --theorem/--lemma is required", file=sys.stderr)
         return 2
+    mode, own, other = (("--theorem", _THEOREM_FLAGS, _LEMMA_FLAGS) if args.theorem
+                        else ("--lemma", _LEMMA_FLAGS, _THEOREM_FLAGS))
+    stray = ["--" + k.replace("_", "-") for k in other if getattr(args, k) is not None]
+    if stray:
+        print(f"verify: {' '.join(stray)} cannot be used with {mode}", file=sys.stderr)
+        return 2
+    for k, default in own.items():
+        if getattr(args, k) is None:
+            setattr(args, k, default)
     if args.theorem:
         orders = theorem_orders(args.theorem, args.n_min, args.n_max)
         results = verify_theorem(args.theorem, n_min=args.n_min, n_max=args.n_max,

@@ -4,6 +4,11 @@ A subtree is a nonempty connected induced subgraph.  All counts are exact
 Python integers; star-like trees push them past 64 bits quickly, so nothing
 here may silently wrap.
 
+Every count comes from one rooting: a product pass folds the per-vertex
+counts upward, and a reroot pass carries them back down to every vertex.
+Seeding the leaves with 0 instead of 1 restricts both passes to the stem
+(the tree minus its leaves), so no sub-tree is ever built.
+
 Conventions at the smallest orders: the vertex of a one-vertex tree counts as
 a leaf, and the stem of a tree on <= 2 vertices is empty with subtree count 0.
 Under these, every subtree of a 1- or 2-vertex tree contains a leaf.
@@ -13,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tree import Tree, induced_subtree, path_between, preorder, strip_leaves
+from .tree import LabelOutOfRangeError, Tree, preorder
 
 
 @dataclass(frozen=True)
@@ -39,10 +44,12 @@ class CountReport:
         }
 
 
-def _rooted_products(t: Tree, root: int) -> list[int]:
-    """g[v] = number of subtrees whose vertex closest to root is v."""
-    order, parent = preorder(t, root)
-    g = [1] * t.n
+def _products(order: list[int], parent: list[int], g: list[int]) -> list[int]:
+    """Fold g (1 on counted vertices, 0 elsewhere) upward, in place.
+
+    Afterwards g[v] is the number of subtrees of counted vertices whose vertex
+    closest to the root is v.
+    """
     for v in reversed(order):
         p = parent[v]
         if p >= 0:
@@ -50,35 +57,60 @@ def _rooted_products(t: Tree, root: int) -> list[int]:
     return g
 
 
+def _reroot(order: list[int], parent: list[int], g: list[int]) -> list[int]:
+    """f[v] = number of subtrees (of counted vertices) containing v.
+
+    f[p] // (g[c] + 1) counts those through p that avoid its child c; the
+    division is exact because g[c] + 1 is a factor of f[p].
+    """
+    f = g[:]
+    for c in order[1:]:
+        f[c] = g[c] * (f[parent[c]] // (g[c] + 1) + 1)
+    return f
+
+
+def _stem(t: Tree) -> list[int]:
+    """1 on every non-leaf vertex, 0 on every leaf."""
+    return [int(len(a) > 1) for a in t.adj]
+
+
+def _check_vertex(t: Tree, *vs: int) -> None:
+    for v in vs:
+        if not (0 <= v < t.n):
+            raise LabelOutOfRangeError(f"vertex {v} outside 0..{t.n - 1}")
+
+
 def count_subtrees(t: Tree) -> int:
     """Total number of subtrees F(t)."""
-    return sum(_rooted_products(t, 0))
+    order, parent = preorder(t, 0)
+    return sum(_products(order, parent, [1] * t.n))
 
 
 def count_subtrees_at(t: Tree, v: int) -> int:
     """Number of subtrees containing v."""
-    return _rooted_products(t, v)[v]
+    _check_vertex(t, v)
+    order, parent = preorder(t, v)
+    return _products(order, parent, [1] * t.n)[v]
 
 
 def count_subtrees_at_pair(t: Tree, u: int, v: int) -> int:
     """Number of subtrees containing both u and v (u != v).
 
-    Such a subtree must contain the whole u-v path, so contracting that path
-    to a single vertex turns the question into a one-vertex anchored count.
+    Such a subtree contains the whole u-v path.  Rooted at u, it is a subtree
+    topped at v extended, at each path vertex p above v, by a subtree through
+    p that avoids the path child.
     """
+    _check_vertex(t, u, v)
     if u == v:
         raise ValueError("anchors must be distinct")
-    on_path = set(path_between(t, u, v))
-    outside = [w for w in range(t.n) if w not in on_path]
-    relabel = {w: i + 1 for i, w in enumerate(outside)}
-    edges = []
-    for a, b in t.edges:
-        ia, ib = a in on_path, b in on_path
-        if ia and ib:
-            continue
-        edges.append((0 if ia else relabel[a], 0 if ib else relabel[b]))
-    contracted = Tree(len(outside) + 1, edges)
-    return count_subtrees_at(contracted, 0)
+    order, parent = preorder(t, u)
+    g = _products(order, parent, [1] * t.n)
+    count = g[v]
+    while v != u:
+        p = parent[v]
+        count *= g[p] // (g[v] + 1)
+        v = p
+    return count
 
 
 def count_leaf_subtrees(t: Tree) -> int:
@@ -87,27 +119,26 @@ def count_leaf_subtrees(t: Tree) -> int:
     Equals F(t) minus the subtree count of the stem (0 when the stem is
     empty, i.e. n <= 2).
     """
-    total = count_subtrees(t)
-    if t.n <= 2:
-        return total
-    stem, _ = strip_leaves(t)
-    return total - count_subtrees(stem)
+    order, parent = preorder(t, 0)
+    return (sum(_products(order, parent, [1] * t.n))
+            - sum(_products(order, parent, _stem(t))))
 
 
 def count_leaf_subtrees_at(t: Tree, v: int) -> int:
     """Number of subtrees containing v and at least one leaf other than v.
 
     Undefined on a one-vertex tree.  Computed as the anchored count at v
-    minus the anchored count within t restricted to the non-leaf vertices
-    plus v itself (the subtrees through v avoiding every other leaf).
+    minus the anchored count over the non-leaf vertices plus v itself (the
+    subtrees through v avoiding every other leaf).
     """
     if t.n < 2:
         raise ValueError("needs at least two vertices")
-    if not (0 <= v < t.n):
-        raise ValueError(f"vertex {v} out of range")
-    keep = [w for w in range(t.n) if w == v or not t.is_leaf(w)]
-    sub, old_to_new = induced_subtree(t, keep)
-    return count_subtrees_at(t, v) - count_subtrees_at(sub, old_to_new[v])
+    _check_vertex(t, v)
+    order, parent = preorder(t, v)
+    avoiding = _stem(t)
+    avoiding[v] = 1
+    return (_products(order, parent, [1] * t.n)[v]
+            - _products(order, parent, avoiding)[v])
 
 
 def wiener_index(t: Tree) -> int:
@@ -130,18 +161,26 @@ def count_report(t: Tree) -> CountReport:
     """Full report: F, F*, Wiener index, and both per-vertex count maps.
 
     The per-vertex leaf-anchored map is empty for n = 1, where the quantity
-    is undefined.
+    is undefined.  A subtree through a leaf v that avoids every other leaf is
+    {v} or v plus a stem subtree through its neighbour.
     """
-    f = {v: count_subtrees_at(t, v) for v in range(t.n)}
+    order, parent = preorder(t, 0)
+    stem = _stem(t)
+    g = _products(order, parent, [1] * t.n)
+    g_stem = _products(order, parent, stem[:])
+    f = _reroot(order, parent, g)
+    f_stem = _reroot(order, parent, g_stem)
     if t.n >= 2:
-        fstar = {v: count_leaf_subtrees_at(t, v) for v in range(t.n)}
+        fstar = {v: f[v] - f_stem[v] if stem[v] else f[v] - 1 - f_stem[t.adj[v][0]]
+                 for v in range(t.n)}
     else:
         fstar = {}
+    F = sum(g)
     return CountReport(
         n=t.n,
-        F=count_subtrees(t),
-        Fstar=count_leaf_subtrees(t),
+        F=F,
+        Fstar=F - sum(g_stem),
         wiener=wiener_index(t),
-        f_vertex=f,
+        f_vertex=dict(enumerate(f)),
         fstar_vertex=fstar,
     )

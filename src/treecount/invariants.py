@@ -7,8 +7,6 @@ from dataclasses import dataclass
 
 from .tree import Tree, centers, preorder
 
-_INF = float("inf")
-
 
 @dataclass(frozen=True)
 class InvariantProfile:
@@ -32,55 +30,28 @@ class InvariantProfile:
         }
 
 
-def _children(t: Tree, root: int) -> tuple[list[int], list[list[int]]]:
-    order, parent = preorder(t, root)
-    kids: list[list[int]] = [[] for _ in range(t.n)]
-    for v in order[1:]:
-        kids[parent[v]].append(v)
-    return order, kids
+def _matching(order: list[int], parent: list[int],
+              free: list[bool]) -> list[tuple[int, int]]:
+    """A maximum matching of the forest on the vertices marked free.
 
-
-def _matching_forest(adj, alive: list[bool]) -> int:
-    """Maximum matching size over the forest induced on the alive vertices."""
-    n = len(adj)
-    visited = [not a for a in alive]
-    best = 0
-    for r in range(n):
-        if visited[r]:
-            continue
-        # iterative post-order over this component
-        parent = {r: -1}
-        order = [r]
-        stack = [r]
-        visited[r] = True
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not visited[w]:
-                    visited[w] = True
-                    parent[w] = v
-                    order.append(w)
-                    stack.append(w)
-        free = {v: 0 for v in order}    # v unmatched within its subtree
-        used = {v: -_INF for v in order}  # v matched to one of its children
-        kids: dict[int, list[int]] = {v: [] for v in order}
-        for v in order[1:]:
-            kids[parent[v]].append(v)
-        for v in reversed(order):
-            base = sum(max(free[c], used[c]) for c in kids[v])
-            free[v] = base
-            gain = max(
-                (1 + free[c] - max(free[c], used[c]) for c in kids[v]),
-                default=-_INF,
-            )
-            used[v] = base + gain
-        best += int(max(free[r], used[r]))
-    return best
+    Leaves up (reverse preorder): a vertex still free takes its parent when
+    the parent is free too.  By then no child of it is free, so it is a
+    leaf of what remains, and some maximum matching pairs a leaf with its
+    neighbour.
+    """
+    pairs = []
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0 and free[v] and free[p]:
+            free[v] = free[p] = False
+            pairs.append((p, v) if p < v else (v, p))
+    return pairs
 
 
 def matching_number(t: Tree) -> int:
     """Maximum number of pairwise nonincident edges."""
-    return _matching_forest(t.adj, [True] * t.n)
+    order, parent = preorder(t, 0)
+    return len(_matching(order, parent, [True] * t.n))
 
 
 def maximum_matching(t: Tree) -> tuple[tuple[int, int], ...]:
@@ -89,7 +60,8 @@ def maximum_matching(t: Tree) -> tuple[tuple[int, int], ...]:
     Greedy over sorted edges, keeping an edge whenever some maximum matching
     extends the current choice through it.
     """
-    q = matching_number(t)
+    order, parent = preorder(t, 0)
+    q = len(_matching(order, parent, [True] * t.n))
     chosen: list[tuple[int, int]] = []
     alive = [True] * t.n
     for u, v in t.edges:
@@ -98,7 +70,7 @@ def maximum_matching(t: Tree) -> tuple[tuple[int, int], ...]:
         if not (alive[u] and alive[v]):
             continue
         alive[u] = alive[v] = False
-        if len(chosen) + 1 + _matching_forest(t.adj, alive) == q:
+        if len(chosen) + 1 + len(_matching(order, parent, alive[:])) == q:
             chosen.append((u, v))
         else:
             alive[u] = alive[v] = True
@@ -108,39 +80,12 @@ def maximum_matching(t: Tree) -> tuple[tuple[int, int], ...]:
 def perfect_matching_edges(t: Tree) -> tuple[tuple[int, int], ...] | None:
     """The unique perfect matching of t, or None.
 
-    Peels leaves: a leaf must be matched to its support, so the matching is
-    forced edge by edge.
+    A tree has at most one perfect matching, so it is the maximum matching
+    whenever that covers every vertex.
     """
-    if t.n % 2:
-        return None
-    if t.n == 2:
-        return ((0, 1),)
-    deg = [len(a) for a in t.adj]
-    alive = [True] * t.n
-    leaf_stack = [v for v in range(t.n) if deg[v] == 1]
-    matched: list[tuple[int, int]] = []
-    while leaf_stack:
-        u = leaf_stack.pop()
-        if not alive[u]:
-            continue
-        support = next((w for w in t.adj[u] if alive[w]), None)
-        if support is None:
-            return None
-        alive[u] = alive[support] = False
-        matched.append((u, support) if u < support else (support, u))
-        for w in t.adj[support]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    leaf_stack.append(w)
-        for w in t.adj[u]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    leaf_stack.append(w)
-    if any(alive):
-        return None
-    return tuple(sorted(matched))
+    order, parent = preorder(t, 0)
+    pairs = _matching(order, parent, [True] * t.n)
+    return tuple(sorted(pairs)) if 2 * len(pairs) == t.n else None
 
 
 def has_perfect_matching(t: Tree) -> bool:
@@ -148,29 +93,19 @@ def has_perfect_matching(t: Tree) -> bool:
 
 
 def _domination(t: Tree, forced: frozenset[int] = frozenset()) -> int:
-    """Minimum dominating set size, with the forced vertices required in-set."""
-    if t.n == 1:
-        return 1
-    order, kids = _children(t, 0)
-    in_set = [0] * t.n    # v in the set
-    covered = [0] * t.n   # v out, dominated by some child
-    deferred = [0] * t.n  # v out, to be dominated by its parent
+    """Minimum dominating set size, with the forced vertices required in-set.
+
+    Cockayne-Goodman-Hedetniemi greedy after taking the forced vertices:
+    leaves up, a vertex nobody dominates yet puts its parent in the set (or
+    itself, at the root).  All below it is dominated by then, so the parent
+    covers all that it or a child could.
+    """
+    order, parent = preorder(t, 0)
+    taken = set(forced)
     for v in reversed(order):
-        base_in = 1
-        for c in kids[v]:
-            base_in += min(in_set[c], covered[c], deferred[c])
-        in_set[v] = base_in
-        base_out = 0
-        penalty = _INF
-        for c in kids[v]:
-            lo = min(in_set[c], covered[c])
-            base_out += lo
-            penalty = min(penalty, in_set[c] - lo)
-        covered[v] = base_out + penalty if kids[v] else _INF
-        deferred[v] = base_out
-        if v in forced:
-            covered[v] = deferred[v] = _INF
-    return int(min(in_set[0], covered[0]))
+        if v not in taken and taken.isdisjoint(t.adj[v]):
+            taken.add(v if parent[v] < 0 else parent[v])
+    return len(taken)
 
 
 def domination_number(t: Tree) -> int:

@@ -143,8 +143,21 @@ def _prufer_chunk(args) -> set:
     return portable
 
 
+_CLASS_COUNTS: dict[int, int] = {}
+
+
 def prufer_class_count(n: int, jobs: int = 1) -> int:
-    """Isomorphism classes among all n^(n-2) labeled trees, by dedup."""
+    """Isomorphism classes among all n^(n-2) labeled trees, by dedup.
+
+    The count depends on n alone, so it is computed once per n and process;
+    jobs only spreads that one computation over a pool.
+    """
+    if n not in _CLASS_COUNTS:
+        _CLASS_COUNTS[n] = _prufer_class_count(n, jobs)
+    return _CLASS_COUNTS[n]
+
+
+def _prufer_class_count(n: int, jobs: int) -> int:
     if n <= 2:
         return 1
     if n == 3:

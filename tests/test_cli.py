@@ -171,6 +171,31 @@ class TestVerify:
                                "--samples", "40", "--seed", "42")
         assert code == 0 and "# lemma=L3.2 samples=40 seed=42" in out
 
+    @pytest.mark.parametrize("argv, stray", [
+        (["--lemma", "L3.2", "--samples", "5", "--jobs", "0", "--n-min", "9",
+          "--n-max", "5"], ["--jobs", "--n-min", "--n-max"]),
+        (["--lemma", "L3.2", "--jobs", "1"], ["--jobs"]),
+        (["--lemma", "L3.3", "--n-min", "4"], ["--n-min"]),
+        (["--lemma", "L3.1", "--n-max", "8"], ["--n-max"]),
+        (["--lemma", "L3.2", "--formula-variant", "sum"], ["--formula-variant"]),
+        (["--theorem", "T4.4", "--n-max", "6", "--samples", "0", "--seed", "4"],
+         ["--samples", "--seed"]),
+        (["--theorem", "T4.1", "--n-max", "6", "--seed", "0"], ["--seed"]),
+    ])
+    def test_flags_of_other_mode_rejected(self, capsys, argv, stray):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert all(flag in err for flag in stray)
+
+    @pytest.mark.parametrize("argv, header", [
+        (["--lemma", "L3.2", "--samples", "40"], "# lemma=L3.2 samples=40 seed=0"),
+        (["--lemma", "L3.2", "--seed", "3"], "# lemma=L3.2 samples=300 seed=3"),
+        (["--theorem", "T4.4", "--n-max", "6"], "# theorem=T4.4 n=6..6 jobs=1 formula=sum"),
+    ])
+    def test_defaults_fill_the_header(self, capsys, argv, header):
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 0 and out.splitlines()[0] == header
+
     def test_requires_exactly_one_target(self, capsys):
         code, _, err = run_cli(capsys, "verify")
         assert code == 2 and "--theorem/--lemma" in err

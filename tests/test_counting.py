@@ -1,4 +1,6 @@
 
+import random
+
 import pytest
 
 from conftest import make_path, make_star
@@ -8,7 +10,8 @@ from treecount.counting import (count_leaf_subtrees, count_leaf_subtrees_at,
 from treecount.enumeration import all_trees, random_labeled_tree
 from treecount.families import FamilySpec, construct
 from treecount.oracle import TooLargeError, oracle_counts, oracle_pair_count
-from treecount.tree import Tree, induced_subtree
+from treecount.tree import (LabelOutOfRangeError, Tree, induced_subtree,
+                            path_between, strip_leaves)
 
 
 class TestTotals:
@@ -60,6 +63,16 @@ class TestAnchored:
 
     def test_leaf_anchored_star_center(self):
         assert count_leaf_subtrees_at(make_star(4), 0) == 7
+
+    @pytest.mark.parametrize("v", [-1, 5])
+    def test_anchor_out_of_range(self, v):
+        p5 = make_path(5)
+        for call in (lambda: count_subtrees_at(p5, v),
+                     lambda: count_leaf_subtrees_at(p5, v),
+                     lambda: count_subtrees_at_pair(p5, v, 2),
+                     lambda: count_subtrees_at_pair(p5, 2, v)):
+            with pytest.raises(LabelOutOfRangeError):
+                call()
 
     def test_leaf_anchored_refused_on_singleton(self):
         with pytest.raises(ValueError):
@@ -163,3 +176,66 @@ def test_report_invariants_small_orders():
             assert all(c >= 1 for c in rep.f_vertex.values())
             stem_count = count_subtrees(strip_leaves(t)[0]) if t.n > 2 else 0
             assert rep.Fstar == rep.F - stem_count
+
+
+def _pair_by_branches(t: Tree, u: int, v: int) -> int:
+    """Subtrees through u and v: the product, over the u-v path, of the
+    anchored count of the branch hanging at each path vertex."""
+    path = path_between(t, u, v)
+    on_path = set(path)
+    total = 1
+    for w in path:
+        branch = {w}
+        stack = [w]
+        while stack:
+            for y in t.adj[stack.pop()]:
+                if y not in on_path and y not in branch:
+                    branch.add(y)
+                    stack.append(y)
+        sub, old_to_new = induced_subtree(t, branch)
+        total *= count_subtrees_at(sub, old_to_new[w])
+    return total
+
+
+class TestLargeTrees:
+    N = 1000
+
+    @pytest.fixture(params=["path", "star", "random"])
+    def big(self, request):
+        if request.param == "path":
+            return make_path(self.N)
+        if request.param == "star":
+            return make_star(self.N)
+        return random_labeled_tree(self.N, random.Random(1000))
+
+    def test_report_against_single_counters(self, big):
+        rep = count_report(big)
+        assert rep.f_vertex == {v: count_subtrees_at(big, v) for v in range(big.n)}
+        assert rep.F == count_subtrees(big)
+        assert rep.Fstar == count_subtrees(big) - count_subtrees(strip_leaves(big)[0])
+        assert rep.Fstar == count_leaf_subtrees(big)
+        for v in range(0, big.n, 37):
+            assert rep.fstar_vertex[v] == count_leaf_subtrees_at(big, v)
+
+    def test_path_report_closed_forms(self):
+        n = self.N
+        rep = count_report(make_path(n))
+        assert rep.f_vertex == {k: (k + 1) * (n - k) for k in range(n)}
+        assert rep.fstar_vertex == {k: 1 if k in (0, n - 1) else n for k in range(n)}
+        assert rep.F == n * (n + 1) // 2 and rep.wiener == (n ** 3 - n) // 6
+
+    def test_pair_counts(self, big):
+        rng = random.Random(7)
+        for _ in range(12):
+            u, v = rng.sample(range(big.n), 2)
+            assert count_subtrees_at_pair(big, u, v) == _pair_by_branches(big, u, v)
+
+    def test_pair_counts_closed_forms(self):
+        n = self.N
+        p = make_path(n)
+        for u, v in [(0, n - 1), (3, 500), (998, 1), (400, 401)]:
+            lo, hi = min(u, v), max(u, v)
+            assert count_subtrees_at_pair(p, u, v) == (lo + 1) * (n - hi)
+        s = make_star(n)
+        assert count_subtrees_at_pair(s, 0, 17) == 2 ** (n - 2)
+        assert count_subtrees_at_pair(s, 17, 999) == 2 ** (n - 3)

@@ -1,9 +1,11 @@
+import pytest
+
 from bruteforce import (brute_domination, brute_matching,
                         brute_maximum_matchings, brute_optimal_dominating_sets)
-from conftest import make_path, make_star
+from conftest import make_path, make_star, relabeled
 from treecount.enumeration import all_trees
 from treecount.families import FamilySpec, construct
-from treecount.invariants import (domination_number, has_perfect_matching,
+from treecount.invariants import (diameter, domination_number, has_perfect_matching,
                                   invariant_profile, matching_number,
                                   maximum_matching, minimum_dominating_set,
                                   perfect_matching_edges)
@@ -103,3 +105,23 @@ class TestProfile:
         assert d == {"matching": 2, "domination": 2, "diameter": 3,
                      "leafCount": 2, "maxDegree": 2, "centers": [1, 2],
                      "hasPerfectMatching": True}
+
+
+class TestLargeTrees:
+    # (tree, matching, domination, has perfect matching, diameter) at n=2000;
+    # the broom is a path on 1001 vertices with 999 pendants at vertex 0
+    CASES = {
+        "path": (make_path(2000), 1000, 667, True, 1999),
+        "star": (make_star(2000), 1, 1, False, 2),
+        "broom": (construct(FamilySpec("t_ndelta", n=2000, delta=1000)),
+                  1 + 1000 // 2, 1 + 333, False, 1001),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(CASES))
+    def test_closed_values(self, shape, rng):
+        t, q, gamma, perfect, diam = self.CASES[shape]
+        for tree in (t, relabeled(t, rng)):
+            assert matching_number(tree) == q
+            assert domination_number(tree) == gamma
+            assert has_perfect_matching(tree) == perfect
+            assert diameter(tree) == diam
