@@ -20,7 +20,7 @@ from .enumeration import MAX_ORDER, TreeConstraint, map_shards, trees_matching
 from .families import FAMILIES, FORMULA_DISPLAY, FamilySpec, closed_form, construct
 from .invariants import invariant_profile
 from .transforms import TransformSpec, apply_transform
-from .tree import parse_tree, serialize_tree
+from .tree import parse_tree, serialize_tree, tree_from_level_sequence
 from .verify import (LEMMA_TAGS, THEOREM_TAGS, run_lemma_suite, theorem_orders,
                      verify_theorem)
 
@@ -160,9 +160,10 @@ def _cmd_transform(args) -> int:
     return 0
 
 
-def _admitted(constraint: TreeConstraint, trees) -> list:
+def _admitted(constraint: TreeConstraint, seqs) -> list:
     """(index within the shard, tree) for each tree the constraint admits."""
-    return [(i, t) for i, t in enumerate(trees) if constraint.admits(t)]
+    trees = enumerate(map(tree_from_level_sequence, seqs))
+    return [(i, t) for i, t in trees if constraint.admits(t)]
 
 
 def _cmd_enumerate(args) -> int:
@@ -173,7 +174,7 @@ def _cmd_enumerate(args) -> int:
     if args.jobs == 1:
         stream = trees_matching(args.n, constraint, max_order=args.max_order)
     else:
-        parts = map_shards(_admitted, constraint, args.n, args.jobs, args.max_order)
+        parts, = map_shards(_admitted, constraint, [args.n], args.jobs, args.max_order)
         # tree i of shard s comes at position i * jobs + s of the sequential stream
         stream = [t for _, _, t in sorted((i, s, t) for s, part in enumerate(parts)
                                           for i, t in part)]

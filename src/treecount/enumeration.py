@@ -15,9 +15,11 @@ for sampled property checks) come from random Pruefer sequences.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, TypeVar
+from operator import add
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 from . import invariants
 from .tree import Tree, tree_from_level_sequence
@@ -111,36 +113,133 @@ def all_trees(n: int, max_order: int = MAX_ORDER) -> Iterator[Tree]:
         yield tree_from_level_sequence(seq)
 
 
-def all_trees_sharded(n: int, shard: int, jobs: int,
-                      max_order: int = MAX_ORDER) -> Iterator[Tree]:
-    """Round-robin shard of all_trees: the trees with emission index = shard mod jobs."""
+class TreeRecord(NamedTuple):
+    """Every quantity the theorem scan reads off one tree."""
+
+    n: int
+    F: int
+    Fstar: int
+    matching: int
+    domination: int
+    diameter: int
+    leaves: int
+    max_degree: int
+
+
+def tree_record(seq: Sequence[int]) -> TreeRecord:
+    """The TreeRecord of the tree with this (valid) level sequence, in one
+    leaves-up pass and without building a Tree.
+
+    Vertex i of a preorder depth sequence hangs below the last vertex seen
+    one level up, so every child has a larger index than its parent and
+    ``range(n - 1, 0, -1)`` visits children first.  Each step is the loop
+    body of a reference route: the product passes of ``counting`` (g seeded
+    1; h seeded 1 and zeroed on leaves, giving the stem), the free-parent
+    matching greedy and the Cockayne-Goodman-Hedetniemi domination greedy of
+    ``invariants``, and the top two child heights of each vertex, whose sum
+    peaks at the diameter.
+    """
+    n = len(seq)
+    parent = [-1] * n
+    last = [0] * n
+    for i in range(1, n):
+        d = seq[i]
+        parent[i] = last[d - 1]
+        last[d] = i
+    g = [1] * n
+    h = [1] * n
+    kids = [0] * n
+    free = [True] * n
+    taken = [False] * n
+    # dominated_below[v]: v or a child of v is taken; the root's parent -1
+    # indexes the spare last slot
+    dominated_below = [False] * (n + 1)
+    high = [0] * n   # height of the subtree at v
+    low = [0] * n    # second largest child height + 1 (0 with fewer than two children)
+    matching = domination = leaves = 0
+    for v in range(n - 1, 0, -1):
+        p = parent[v]
+        if not kids[v]:
+            h[v] = 0
+            leaves += 1
+        kids[p] += 1
+        g[p] *= g[v] + 1
+        h[p] *= h[v] + 1
+        if free[v] and free[p]:
+            free[v] = free[p] = False
+            matching += 1
+        if not (dominated_below[v] or taken[p]):
+            taken[p] = dominated_below[p] = dominated_below[parent[p]] = True
+            domination += 1
+        up = high[v] + 1
+        if up > high[p]:
+            low[p] = high[p]
+            high[p] = up
+        elif up > low[p]:
+            low[p] = up
+    if kids[0] <= 1:   # the root is a leaf
+        h[0] = 0
+        leaves += 1
+    if not dominated_below[0]:
+        domination += 1
+    F = sum(g)
+    return TreeRecord(n, F, F - sum(h), matching, domination,
+                      max(map(add, high, low)), leaves,
+                      max(max(kids[1:], default=-1) + 1, kids[0]))
+
+
+def _sharded_sequences(n: int, shard: int, jobs: int,
+                       max_order: int = MAX_ORDER) -> Iterator[tuple[int, ...]]:
+    """The level sequences with emission index = shard mod jobs."""
     if not (jobs >= 1 and 0 <= shard < jobs):
         raise ValueError(f"bad shard {shard}/{jobs}")
     for i, seq in enumerate(all_level_sequences(n, max_order)):
         if i % jobs == shard:
-            yield tree_from_level_sequence(seq)
+            yield seq
 
 
-def map_shards(fn: Callable[[object, Iterator[Tree]], _R], arg: object, n: int,
-               jobs: int, max_order: int = MAX_ORDER) -> list[_R]:
-    """``[fn(arg, all_trees_sharded(n, s, jobs)) for s in range(jobs)]``.
+def all_trees_sharded(n: int, shard: int, jobs: int,
+                      max_order: int = MAX_ORDER) -> Iterator[Tree]:
+    """Round-robin shard of all_trees: the trees with emission index = shard mod jobs."""
+    for seq in _sharded_sequences(n, shard, jobs, max_order):
+        yield tree_from_level_sequence(seq)
 
-    With ``jobs > 1`` the shards run in a pool of ``jobs`` forked workers, so
-    ``fn`` must be a module-level function and ``arg`` and the results must
-    pickle.  The i-th tree of shard s is tree ``i * jobs + s`` of all_trees.
+
+def map_shards(fn: Callable[[object, Iterator[tuple[int, ...]]], _R], arg: object,
+               orders: Sequence[int], jobs: int,
+               max_order: int = MAX_ORDER) -> list[list[_R]]:
+    """``[[fn(arg, shard s of order n's level sequences) for s in range(jobs)]
+    for n in orders]``.
+
+    The i-th sequence of shard s is sequence ``i * jobs + s`` of
+    all_level_sequences(n).  ``jobs`` sets the shard count, so results do not
+    depend on the machine; with ``jobs > 1`` every (order, shard) task of the
+    call runs in one pool of ``min(jobs, os.cpu_count())`` forked workers,
+    largest order first.  ``fn`` must then be a module-level function, and
+    ``arg`` and the results must pickle.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    tasks = [(fn, arg, n, shard, jobs, max_order) for shard in range(jobs)]
-    if jobs == 1:
-        return [_run_shard(tasks[0])]
-    with multiprocessing.get_context("fork").Pool(jobs) as pool:
-        return pool.map(_run_shard, tasks)
+    for n in orders:
+        if n < 1 or n > max_order:
+            raise TooLargeError(f"order {n} outside 1..{max_order}")
+    tasks = [(fn, arg, n, shard, jobs, max_order)
+             for n in sorted(orders, reverse=True) for shard in range(jobs)]
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers == 1:
+        results = [_run_shard(task) for task in tasks]
+    else:
+        with multiprocessing.get_context("fork").Pool(workers) as pool:
+            results = pool.map(_run_shard, tasks, chunksize=1)
+    by_order = {}
+    for (_, _, n, _, _, _), result in zip(tasks, results):
+        by_order.setdefault(n, []).append(result)
+    return [by_order[n] for n in orders]
 
 
 def _run_shard(task: tuple) -> object:
     fn, arg, n, shard, jobs, max_order = task
-    return fn(arg, all_trees_sharded(n, shard, jobs, max_order))
+    return fn(arg, _sharded_sequences(n, shard, jobs, max_order))
 
 
 @dataclass(frozen=True)

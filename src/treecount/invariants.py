@@ -4,6 +4,7 @@ profile of the structural invariants used to carve out tree classes."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .tree import Tree, centers, preorder
 
@@ -92,15 +93,16 @@ def has_perfect_matching(t: Tree) -> bool:
     return perfect_matching_edges(t) is not None
 
 
-def _domination(t: Tree, forced: frozenset[int] = frozenset()) -> int:
+def _domination(t: Tree, order: list[int], parent: list[int],
+                forced: Iterable[int] = ()) -> int:
     """Minimum dominating set size, with the forced vertices required in-set.
 
     Cockayne-Goodman-Hedetniemi greedy after taking the forced vertices:
-    leaves up, a vertex nobody dominates yet puts its parent in the set (or
-    itself, at the root).  All below it is dominated by then, so the parent
-    covers all that it or a child could.
+    leaves up (reverse ``order``, a preorder of t), a vertex nobody
+    dominates yet puts its parent in the set (or itself, at the root).  All
+    below it is dominated by then, so the parent covers all that it or a
+    child could.
     """
-    order, parent = preorder(t, 0)
     taken = set(forced)
     for v in reversed(order):
         if v not in taken and taken.isdisjoint(t.adj[v]):
@@ -110,17 +112,19 @@ def _domination(t: Tree, forced: frozenset[int] = frozenset()) -> int:
 
 def domination_number(t: Tree) -> int:
     """Minimum size of a set whose closed neighborhood covers every vertex."""
-    return _domination(t)
+    order, parent = preorder(t, 0)
+    return _domination(t, order, parent)
 
 
 def minimum_dominating_set(t: Tree) -> tuple[int, ...]:
     """One minimum dominating set, lexicographically smallest by sorted labels."""
-    gamma = _domination(t)
+    order, parent = preorder(t, 0)
+    gamma = _domination(t, order, parent)
     chosen: list[int] = []
     for v in range(t.n):
         if len(chosen) == gamma:
             break
-        if _domination(t, frozenset(chosen + [v])) == gamma:
+        if _domination(t, order, parent, chosen + [v]) == gamma:
             chosen.append(v)
     return tuple(chosen)
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import counting, invariants
-from .enumeration import map_shards, random_labeled_tree
+from .enumeration import (MAX_ORDER, TreeRecord, map_shards, random_labeled_tree,
+                          tree_record)
 from .families import FamilySpec, closed_form, construct
 from .transforms import (a_transform, b_transform, c_transform,
                          classify_c_anchor, is_pendant_path_component)
@@ -77,8 +78,8 @@ class _Theorem:
     """One catalog statement: over the n-vertex trees of each class, the
     class's family member attains the extremum of every quantity."""
 
-    keys: Callable[[Tree], tuple]   # the classes a tree falls in; () skips it
-    quantities: tuple[str, ...]
+    keys: Callable[[TreeRecord], tuple]   # the classes a tree falls in; () skips it
+    quantities: tuple[str, ...]     # TreeRecord fields
     extremum: str | None            # "max" or "min"; None: the class key names it
     # (row constraint, class key, family member) for each class of order n
     classes: Callable[[int], list[tuple[dict, object, FamilySpec]]]
@@ -89,19 +90,6 @@ class _Theorem:
     even_only: bool = False
 
 
-# Looked up at call time, so that a wrapper put on the counting module is seen.
-_COUNTERS = {"F": lambda t: counting.count_subtrees(t),
-             "Fstar": lambda t: counting.count_leaf_subtrees(t)}
-
-
-def _domination(t: Tree) -> tuple:
-    return (invariants.domination_number(t),)
-
-
-def _max_degree(t: Tree) -> tuple:
-    return (max(len(a) for a in t.adj),)
-
-
 def _pk_ab(n: int) -> FamilySpec:
     a = (n - 4) // 2
     return FamilySpec("pk_ab", k=4, a=a, b=n - 4 - a)
@@ -109,30 +97,30 @@ def _pk_ab(n: int) -> FamilySpec:
 
 _THEOREMS = {
     "T4.1": _Theorem(
-        keys=lambda t: (invariants.matching_number(t),), quantities=("F", "Fstar"),
+        keys=lambda r: (r.matching,), quantities=("F", "Fstar"),
         extremum="max", unique=True, default_range=(4, 14), min_order=3,
         classes=lambda n: [({"q": q}, q, FamilySpec("a_nq", n=n, q=q))
                            for q in range(1, n // 2 + 1)]),
     "T4.2": _Theorem(
-        keys=_domination, quantities=("F", "Fstar"),
+        keys=lambda r: (r.domination,), quantities=("F", "Fstar"),
         extremum="max", unique=False, default_range=(4, 14), min_order=3,
         classes=lambda n: [({"gamma": g}, g, FamilySpec("a_nq", n=n, q=g))
                            for g in range(1, n // 2 + 1)]),
     "T4.3": _Theorem(
-        keys=_domination, quantities=("F", "Fstar"),
+        keys=lambda r: (r.domination,), quantities=("F", "Fstar"),
         extremum="min", unique=True, default_range=(4, 16), min_order=4, even_only=True,
         classes=lambda n: [({"gamma": n // 2}, n // 2, FamilySpec("corona_path", m=n // 2))]),
     "T4.4": _Theorem(
-        keys=_domination, quantities=("F", "Fstar"),
+        keys=lambda r: (r.domination,), quantities=("F", "Fstar"),
         extremum="min", unique=True, default_range=(6, 14), min_order=6,
         classes=lambda n: [({"gamma": 2}, 2, _pk_ab(n))]),
     "T4.5": _Theorem(
-        keys=_max_degree, quantities=("Fstar",),
+        keys=lambda r: (r.max_degree,), quantities=("Fstar",),
         extremum="min", unique=True, default_range=(4, 14), min_order=4, threshold=True,
         classes=lambda n: [({"min_max_degree": d}, d, FamilySpec("t_ndelta", n=n, delta=d))
                            for d in range(3, n)]),
     "T4.6": _Theorem(
-        keys=lambda t: _max_degree(t) if 2 * invariants.matching_number(t) == t.n else (),
+        keys=lambda r: (r.max_degree,) if 2 * r.matching == r.n else (),
         quantities=("F", "Fstar"),
         extremum="min", unique=True, default_range=(4, 14), min_order=4, threshold=True,
         even_only=True,
@@ -140,7 +128,7 @@ _THEOREMS = {
                             FamilySpec("tprime_ndelta", n=n, delta=d))
                            for d in range(3, n)]),
     "T4.7": _Theorem(
-        keys=lambda t: (len(t.leaves()),), quantities=("Fstar",),
+        keys=lambda r: (r.leaves,), quantities=("Fstar",),
         extremum="max", unique=True, default_range=(3, 14), min_order=3,
         classes=lambda n: [({"leaves": k}, k, FamilySpec("spider", n=n, k=k))
                            for k in range(2, n)]),
@@ -150,12 +138,12 @@ _THEOREMS = {
     # already at n=6, d=3).  Its rows also hold the F closed form to the count
     # on the built hat.
     "T4.8": _Theorem(
-        keys=lambda t: (invariants.diameter(t),), quantities=("Fstar",),
+        keys=lambda r: (r.diameter,), quantities=("Fstar",),
         extremum="max", unique=True, default_range=(3, 14), min_order=3,
         classes=lambda n: [({"d": d}, d, FamilySpec("hat", n=n, d=d))
                            for d in range(2, n)]),
     "L2star": _Theorem(
-        keys=lambda t: ("min", "max"), quantities=("Fstar",),
+        keys=lambda r: ("min", "max"), quantities=("Fstar",),
         extremum=None, unique=False, default_range=(3, 12), min_order=3,
         classes=lambda n: [({"extremum": "min"}, "min", FamilySpec("path", n=n)),
                            ({"extremum": "max"}, "max", FamilySpec("star", n=n))]),
@@ -178,53 +166,55 @@ def _better(val: int, cur: int, mode: str) -> bool:
     return val > cur if mode == "max" else val < cur
 
 
-def _scan_shard(tag: str, trees: Iterable[Tree]):
-    """Aggregate one enumeration shard: key -> {qty: [extreme value, canon set]},
-    and key -> class size."""
+def _scan_shard(tag: str, seqs: Iterable[tuple[int, ...]]):
+    """Aggregate one enumeration shard: key -> {qty: [extreme value, set of
+    generator level sequences]}, and key -> class size."""
     th = _THEOREMS[tag]
     agg: dict = {}
     counts: dict = {}
-    for t in trees:
-        keys = th.keys(t)
-        if not keys:
-            continue
-        values = {qty: _COUNTERS[qty](t) for qty in th.quantities}
-        canon = None
+    for seq in seqs:
+        rec = tree_record(seq)
+        keys = th.keys(rec)
         for key in keys:
             counts[key] = counts.get(key, 0) + 1
             slot = agg.setdefault(key, {})
             mode = th.extremum or key
-            for qty, val in values.items():
+            for qty in th.quantities:
+                val = getattr(rec, qty)
                 cur = slot.get(qty)
-                better = cur is None or _better(val, cur[0], mode)
-                if better or val == cur[0]:
-                    if canon is None:
-                        canon = canonical_form(t).level_seq
-                    if better:
-                        slot[qty] = [val, {canon}]
-                    else:
-                        cur[1].add(canon)
+                if cur is None or _better(val, cur[0], mode):
+                    slot[qty] = [val, {seq}]
+                elif val == cur[0]:
+                    cur[1].add(seq)
     return agg, counts
 
 
-def _merge_entry(slot: dict, qty: str, val: int, canons: set, mode: str) -> None:
+def _merge_entry(slot: dict, qty: str, val: int, seqs: set, mode: str) -> None:
     cur = slot.get(qty)
     if cur is None or _better(val, cur[0], mode):
-        slot[qty] = [val, set(canons)]
+        slot[qty] = [val, set(seqs)]
     elif val == cur[0]:
-        cur[1].update(canons)
+        cur[1].update(seqs)
 
 
-def _scan(tag: str, n: int, jobs: int):
-    th = _THEOREMS[tag]
-    (agg, counts), *rest = map_shards(_scan_shard, tag, n, jobs)
+def _reduce(th: _Theorem, parts: list):
+    """Merge the shards of one order, then name each surviving extremizer by
+    its canonical level sequence instead of the generator's."""
+    (agg, counts), *rest = parts
     for part_agg, part_counts in rest:
         for key, c in part_counts.items():
             counts[key] = counts.get(key, 0) + c
         for key, slot in part_agg.items():
             mine = agg.setdefault(key, {})
-            for qty, (val, canons) in slot.items():
-                _merge_entry(mine, qty, val, canons, th.extremum or key)
+            for qty, (val, seqs) in slot.items():
+                _merge_entry(mine, qty, val, seqs, th.extremum or key)
+    canon: dict = {}
+    for slot in agg.values():
+        for entry in slot.values():
+            for seq in entry[1]:
+                if seq not in canon:
+                    canon[seq] = canonical_form(tree_from_level_sequence(seq)).level_seq
+            entry[1] = {canon[seq] for seq in entry[1]}
     return agg, counts
 
 
@@ -304,7 +294,8 @@ def theorem_orders(tag: str, n_min: int | None = None,
     ``DEFAULT_RANGE[tag]``) clipped to the orders the statement covers.
 
     Raises ValueError when no order is left, since a run that checks nothing
-    must not pass.
+    must not pass, or when the range reaches past ``MAX_ORDER``, before any
+    order is scanned.
     """
     if tag not in _THEOREMS:
         raise UnknownTagError(f"unknown theorem tag {tag!r}")
@@ -316,6 +307,8 @@ def theorem_orders(tag: str, n_min: int | None = None,
     if not orders:
         parity = " even" if th.even_only else ""
         raise ValueError(f"{tag} has no{parity} order to check in {lo}..{hi}")
+    if hi > MAX_ORDER:
+        raise ValueError(f"{tag}: order {hi} is above the enumeration cap {MAX_ORDER}")
     return orders
 
 
@@ -326,9 +319,10 @@ def verify_theorem(tag: str, n_min: int | None = None, n_max: int | None = None,
     ``formula_variant`` selects the binomial-tail reading for T4.8 ("sum" is
     the corrected default, "product" reproduces the flawed literal one).
     """
+    orders = theorem_orders(tag, n_min, n_max)
     rows: list[VerificationResult] = []
-    for n in theorem_orders(tag, n_min, n_max):
-        agg, counts = _scan(tag, n, jobs)
+    for n, parts in zip(orders, map_shards(_scan_shard, tag, orders, jobs)):
+        agg, counts = _reduce(_THEOREMS[tag], parts)
         rows.extend(_assemble(tag, n, agg, counts, formula_variant))
     return rows
 

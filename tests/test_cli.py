@@ -213,6 +213,12 @@ class TestVerify:
                                  "--n-min", lo, "--n-max", hi)
         assert code == 2 and "checks passed" not in out and tag in err
 
+    def test_orders_past_the_cap_rejected(self, capsys):
+        # rejected before n=20..24 (tens of millions of trees) are scanned
+        code, out, err = run_cli(capsys, "verify", "--theorem", "T4.1",
+                                 "--n-min", "20", "--n-max", "30")
+        assert code == 2 and out == "" and "24" in err
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, capsys, jobs):
         code, out, err = run_cli(capsys, "verify", "--theorem", "T4.1",

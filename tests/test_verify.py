@@ -7,7 +7,7 @@ from treecount.families import FamilySpec, construct
 from treecount.schemas import VERIFICATION_SCHEMA
 from treecount.tree import canonical_form
 from treecount.verify import (LEMMA_TAGS, THEOREM_TAGS, UnknownTagError,
-                              run_lemma_suite, verify_theorem)
+                              run_lemma_suite, theorem_orders, verify_theorem)
 
 
 class TestTheoremRuns:
@@ -70,6 +70,12 @@ class TestTheoremRuns:
         with pytest.raises(UnknownTagError):
             verify_theorem("T9.9")
 
+    def test_orders_past_the_cap_rejected_before_scanning(self):
+        with pytest.raises(ValueError, match="24"):
+            theorem_orders("T4.1", 4, 25)
+        with pytest.raises(ValueError):
+            verify_theorem("T4.1", n_min=20, n_max=30)
+
 
 class TestProductVariant:
     def test_fails_at_smallest_case_and_names_it(self):
@@ -92,6 +98,25 @@ class TestDeterminismAndSerialization:
         b = [r.to_json_dict() for r in verify_theorem(tag, n_min=6, n_max=9, jobs=2)]
         c = [r.to_json_dict() for r in verify_theorem(tag, n_min=6, n_max=9, jobs=3)]
         assert a and json.dumps(a) == json.dumps(b) == json.dumps(c)
+
+    def test_pool_is_one_per_call_and_capped_by_cpus(self, monkeypatch):
+        from multiprocessing.context import BaseContext
+        sizes = []
+        make_pool = BaseContext.Pool
+
+        def recording_pool(self, processes=None, *args, **kwargs):
+            sizes.append(processes)
+            return make_pool(self, processes, *args, **kwargs)
+
+        monkeypatch.setattr(BaseContext, "Pool", recording_pool)
+        want = [r.to_json_dict() for r in verify_theorem("T4.7", n_min=5, n_max=9, jobs=1)]
+        assert sizes == []
+        monkeypatch.setattr("os.cpu_count", lambda: 1)
+        assert [r.to_json_dict() for r in verify_theorem("T4.7", n_min=5, n_max=9, jobs=3)] == want
+        assert sizes == []  # one worker: the three shards run in this process
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        assert [r.to_json_dict() for r in verify_theorem("T4.7", n_min=5, n_max=9, jobs=3)] == want
+        assert sizes == [2]  # five orders, three shards each, one pool
 
     def test_report_schema(self):
         rows = verify_theorem("T4.8", n_min=3, n_max=5, formula_variant="product")
@@ -153,6 +178,16 @@ class TestClassSizes:
         for r in rows:
             assert r.class_size == stream_count(
                 10, min_max_degree=r.constraint["min_max_degree"], perfect_matching=True)
+
+    def test_sizes_match_networkx(self):
+        # a third route to the free-tree counts, beside OEIS and trees_matching
+        nx = pytest.importorskip("networkx")
+        sizes: dict = {}
+        for r in verify_theorem("T4.1", n_min=4, n_max=12):
+            sizes.setdefault(r.n, {})[r.constraint["q"]] = r.class_size
+        assert sorted(sizes) == list(range(4, 13))
+        for n, by_q in sizes.items():
+            assert sum(by_q.values()) == len(list(nx.nonisomorphic_trees(n)))
 
     def test_domain_floors_are_enforced(self):
         rows = verify_theorem("T4.4", n_min=2, n_max=7)
