@@ -5,9 +5,10 @@ brute force."""
 
 __version__ = "0.1.0"
 
-from .counting import (CountReport, count_leaf_subtrees, count_leaf_subtrees_at,
-                       count_report, count_subtrees, count_subtrees_at,
-                       count_subtrees_at_pair, wiener_index)
+from .counting import (CountReport, anchored_counts, count_leaf_subtrees,
+                       count_leaf_subtrees_at, count_report, count_subtrees,
+                       count_subtrees_at, count_subtrees_at_pair, subtree_totals,
+                       wiener_index)
 from .enumeration import (TreeConstraint, all_trees, all_trees_sharded,
                           random_labeled_tree, tree_from_prufer, trees_matching)
 from .families import ClosedForm, FamilySpec, closed_form, construct
@@ -16,7 +17,7 @@ from .invariants import (InvariantProfile, domination_number, has_perfect_matchi
                          minimum_dominating_set, perfect_matching_edges)
 from .oracle import oracle_counts, oracle_pair_count
 from .transforms import (TransformSpec, a_transform, apply_transform, b_transform,
-                         c_transform)
+                         c_anchors, c_transform)
 from .tree import (CanonicalForm, PathDecomposition, RootedComponent, Tree,
                    canonical_form, centers, is_isomorphic, parse_tree,
                    path_between, path_decomposition, serialize_tree,
@@ -29,7 +30,8 @@ __all__ = [
     "InvariantProfile", "LEMMA_TAGS", "PathDecomposition", "RootedComponent",
     "THEOREM_TAGS", "TransformSpec", "Tree", "TreeConstraint",
     "VerificationResult", "a_transform", "all_trees", "all_trees_sharded",
-    "apply_transform", "b_transform", "c_transform", "canonical_form",
+    "anchored_counts", "apply_transform", "b_transform", "c_anchors",
+    "c_transform", "canonical_form",
     "centers", "closed_form", "construct", "count_leaf_subtrees",
     "count_leaf_subtrees_at", "count_report", "count_subtrees",
     "count_subtrees_at", "count_subtrees_at_pair", "domination_number",
@@ -37,7 +39,8 @@ __all__ = [
     "matching_number", "maximum_matching", "minimum_dominating_set",
     "oracle_counts", "oracle_pair_count", "parse_tree", "path_between",
     "path_decomposition", "perfect_matching_edges", "random_labeled_tree",
-    "run_lemma_suite", "serialize_tree", "strip_leaves", "tree_from_prufer",
+    "run_lemma_suite", "serialize_tree", "strip_leaves", "subtree_totals",
+    "tree_from_prufer",
     "tree_from_level_sequence", "trees_matching", "verify_theorem",
     "wiener_index",
 ]

@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import __version__
-from .counting import count_report, count_subtrees, count_leaf_subtrees
+from .counting import count_report, subtree_totals
 from .enumeration import MAX_ORDER, TreeConstraint, map_shards, trees_matching
 from .families import FAMILIES, FORMULA_DISPLAY, FamilySpec, closed_form, construct
 from .invariants import invariant_profile
@@ -145,12 +145,14 @@ def _cmd_transform(args) -> int:
     spec = TransformSpec(kind=args.kind, u=args.u, v=args.v,
                          component_root=args.component_root)
     out, _ = apply_transform(t, spec)
+    f_before, fstar_before = subtree_totals(t)
+    f_after, fstar_after = subtree_totals(out)
     delta = {
         "tree": serialize_tree(out),
-        "F_before": str(count_subtrees(t)),
-        "F_after": str(count_subtrees(out)),
-        "Fstar_before": str(count_leaf_subtrees(t)),
-        "Fstar_after": str(count_leaf_subtrees(out)),
+        "F_before": str(f_before),
+        "F_after": str(f_after),
+        "Fstar_before": str(fstar_before),
+        "Fstar_after": str(fstar_after),
     }
     if args.json:
         print(_dump(delta))

@@ -80,6 +80,32 @@ def _check_vertex(t: Tree, *vs: int) -> None:
             raise LabelOutOfRangeError(f"vertex {v} outside 0..{t.n - 1}")
 
 
+def subtree_totals(t: Tree) -> tuple[int, int]:
+    """(F, F*) of t from one preorder."""
+    order, parent = preorder(t, 0)
+    F = sum(_products(order, parent, [1] * t.n))
+    return F, F - sum(_products(order, parent, _stem(t)))
+
+
+def anchored_counts(t: Tree) -> tuple[list[int], list[int] | None]:
+    """(f, f*): the anchored counts of every vertex from one preorder and two
+    reroots; f* is None on a one-vertex tree, where it is undefined.
+
+    f*(v) = f(v) - f_stem(v) for an internal v.  A subtree through a leaf v
+    that avoids every other leaf is {v} or v plus a stem subtree through its
+    neighbour, so f*(v) = f(v) - 1 - f_stem(neighbour) there.
+    """
+    order, parent = preorder(t, 0)
+    stem = _stem(t)
+    f = _reroot(order, parent, _products(order, parent, [1] * t.n))
+    if t.n < 2:
+        return f, None
+    f_stem = _reroot(order, parent, _products(order, parent, stem[:]))
+    fstar = [f[v] - f_stem[v] if stem[v] else f[v] - 1 - f_stem[t.adj[v][0]]
+             for v in range(t.n)]
+    return f, fstar
+
+
 def count_subtrees(t: Tree) -> int:
     """Total number of subtrees F(t)."""
     order, parent = preorder(t, 0)
@@ -119,9 +145,7 @@ def count_leaf_subtrees(t: Tree) -> int:
     Equals F(t) minus the subtree count of the stem (0 when the stem is
     empty, i.e. n <= 2).
     """
-    order, parent = preorder(t, 0)
-    return (sum(_products(order, parent, [1] * t.n))
-            - sum(_products(order, parent, _stem(t))))
+    return subtree_totals(t)[1]
 
 
 def count_leaf_subtrees_at(t: Tree, v: int) -> int:
@@ -161,26 +185,15 @@ def count_report(t: Tree) -> CountReport:
     """Full report: F, F*, Wiener index, and both per-vertex count maps.
 
     The per-vertex leaf-anchored map is empty for n = 1, where the quantity
-    is undefined.  A subtree through a leaf v that avoids every other leaf is
-    {v} or v plus a stem subtree through its neighbour.
+    is undefined.
     """
-    order, parent = preorder(t, 0)
-    stem = _stem(t)
-    g = _products(order, parent, [1] * t.n)
-    g_stem = _products(order, parent, stem[:])
-    f = _reroot(order, parent, g)
-    f_stem = _reroot(order, parent, g_stem)
-    if t.n >= 2:
-        fstar = {v: f[v] - f_stem[v] if stem[v] else f[v] - 1 - f_stem[t.adj[v][0]]
-                 for v in range(t.n)}
-    else:
-        fstar = {}
-    F = sum(g)
+    F, Fstar = subtree_totals(t)
+    f, fstar = anchored_counts(t)
     return CountReport(
         n=t.n,
         F=F,
-        Fstar=F - sum(g_stem),
+        Fstar=Fstar,
         wiener=wiener_index(t),
         f_vertex=dict(enumerate(f)),
-        fstar_vertex=fstar,
+        fstar_vertex={} if fstar is None else dict(enumerate(fstar)),
     )

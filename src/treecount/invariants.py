@@ -130,18 +130,19 @@ def minimum_dominating_set(t: Tree) -> tuple[int, ...]:
 
 
 def diameter(t: Tree) -> int:
-    """Maximum eccentricity, via two sweeps."""
-
-    def far(src: int) -> tuple[int, int]:
-        order, parent = preorder(t, src)
-        depth = [0] * t.n
-        for v in order[1:]:
-            depth[v] = depth[parent[v]] + 1
-        best = max(range(t.n), key=lambda v: (depth[v], -v))
-        return best, depth[best]
-
-    a, _ = far(0)
-    _, d = far(a)
+    """Maximum eccentricity, from one rooting: the longest path tops out at
+    some vertex, where it joins its two highest child branches."""
+    order, parent = preorder(t, 0)
+    height = [0] * t.n
+    d = 0
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0:
+            h = height[v] + 1
+            if height[p] + h > d:
+                d = height[p] + h
+            if h > height[p]:
+                height[p] = h
     return d
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tree import Tree, centers, induced_subtree, path_between
+from .tree import Tree, centers, induced_subtree, path_between, preorder
 
 
 class BadAnchorError(ValueError):
@@ -153,6 +153,34 @@ def c_transform(t: Tree, v: int) -> tuple[Tree, dict[int, int]]:
         else:
             edges.append((a, b))
     return Tree(t.n, edges), {x: x for x in range(t.n)}
+
+
+def c_anchors(t: Tree) -> list[int]:
+    """Every v for which ``c_transform(t, v)`` succeeds, ascending, in O(n).
+
+    One rooting at a center: a leaves-up pass flags each rooted branch that
+    is a pendant path (every vertex of degree <= 2).  The rules are those of
+    ``classify_c_anchor`` and ``c_transform``.  For an anchor v of degree
+    >= 3, the parent w that the rewrite excludes (v's neighbour toward the
+    center, or the partner center) is never flagged: w is an ancestor of v,
+    whose branch holds v, or the partner center, of degree > 2.  So every
+    flagged neighbour of v is a child that the rewrite may keep.
+    """
+    cs = centers(t)
+    order, parent = preorder(t, cs[0])
+    path = [len(a) <= 2 for a in t.adj]
+    for v in reversed(order[1:]):
+        if not path[v]:
+            path[parent[v]] = False
+    anchors = []
+    for v in range(t.n):
+        if len(t.adj[v]) < 3:
+            continue
+        if v in cs and (len(cs) == 1 or len(t.adj[cs[0] + cs[1] - v]) <= 2):
+            continue  # a unique center, or a partner center of degree <= 2
+        if any(path[c] for c in t.adj[v]):
+            anchors.append(v)
+    return anchors
 
 
 def apply_transform(t: Tree, spec: TransformSpec) -> tuple[Tree, dict[int, int]]:

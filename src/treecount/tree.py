@@ -12,7 +12,9 @@ Vertices are always the integers ``0..n-1``.  Two text formats are supported:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, NamedTuple
 
 
@@ -62,28 +64,30 @@ class Tree:
             norm.append((u, v) if u < v else (v, u))
         if len(norm) != n - 1:
             raise NotATreeError(f"{len(norm)} edges for {n} vertices, expected {n - 1}")
-        if len(set(norm)) != len(norm):
+        norm.sort()
+        if any(map(operator.eq, norm, islice(norm, 1, None))):
             raise NotATreeError("duplicate edge")
+        # From the sorted edges each list comes out ascending: a vertex x
+        # first gets its smaller neighbours (edges (u, x), u < x, sort before
+        # every (x, v)), each run in edge order.
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in norm:
             adj[u].append(v)
             adj[v].append(u)
-        # connected + n-1 edges => acyclic
+        # connected + n-1 edges => acyclic; the search list grows as it is read
         seen = bytearray(n)
         seen[0] = 1
-        stack = [0]
-        reached = 1
-        while stack:
-            for w in adj[stack.pop()]:
+        reached = [0]
+        for v in reached:
+            for w in adj[v]:
                 if not seen[w]:
                     seen[w] = 1
-                    reached += 1
-                    stack.append(w)
-        if reached != n:
+                    reached.append(w)
+        if len(reached) != n:
             raise NotATreeError("graph is not connected")
         self.n = n
-        self.edges = tuple(sorted(norm))
-        self.adj = tuple(tuple(sorted(a)) for a in adj)
+        self.edges = tuple(norm)
+        self.adj = tuple(map(tuple, adj))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])

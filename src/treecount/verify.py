@@ -21,7 +21,7 @@ from . import counting, invariants
 from .enumeration import (MAX_ORDER, TreeRecord, map_shards, random_labeled_tree,
                           tree_record)
 from .families import FamilySpec, closed_form, construct
-from .transforms import (a_transform, b_transform, c_transform,
+from .transforms import (a_transform, b_transform, c_anchors, c_transform,
                          classify_c_anchor, is_pendant_path_component)
 from .tree import (CanonicalForm, Tree, canonical_form, induced_subtree,
                    is_isomorphic, path_decomposition, serialize_tree,
@@ -349,8 +349,8 @@ def _suite_a_transform(samples: int, seed: int) -> list[VerificationResult]:
         u = rng.randrange(t.n)
         root = rng.choice(t.adj[u])
         out, _ = a_transform(t, u, root)
-        fb, fa = counting.count_subtrees(t), counting.count_subtrees(out)
-        sb, sa = counting.count_leaf_subtrees(t), counting.count_leaf_subtrees(out)
+        fb, sb = counting.subtree_totals(t)
+        fa, sa = counting.subtree_totals(out)
         pend = is_pendant_path_component(t, u, root)
         if pend:
             equalities += 1
@@ -374,8 +374,9 @@ def _suite_b_transform(samples: int, seed: int) -> list[VerificationResult]:
                 break
         u, v = rng.choice(internal)
         out, _ = b_transform(t, u, v)
-        ok = (counting.count_subtrees(out) > counting.count_subtrees(t)
-              and counting.count_leaf_subtrees(out) > counting.count_leaf_subtrees(t))
+        fb, sb = counting.subtree_totals(t)
+        fa, sa = counting.subtree_totals(out)
+        ok = fa > fb and sa > sb
         if not ok and not violations:
             violations.append(t)
     return _suite_result("L3.2", samples, seed, violations, "")
@@ -406,20 +407,15 @@ def _suite_c_transform(samples: int, seed: int) -> list[VerificationResult]:
             t = _bicentral_instance(rng)
         else:
             t = random_labeled_tree(rng.randint(5, 16), rng)
-        anchors = []
-        for v in range(t.n):
-            try:
-                c_transform(t, v)
-            except ValueError:
-                continue
-            anchors.append(v)
+        anchors = c_anchors(t)
         if not anchors:
             continue
         v = rng.choice(anchors)
         kind, _ = classify_c_anchor(t, v)
         out, _ = c_transform(t, v)
-        ok = (counting.count_subtrees(out) > counting.count_subtrees(t)
-              and counting.count_leaf_subtrees(out) > counting.count_leaf_subtrees(t)
+        fb, sb = counting.subtree_totals(t)
+        fa, sa = counting.subtree_totals(out)
+        ok = (fa > fb and sa > sb
               and len(out.leaves()) == len(t.leaves())
               and invariants.diameter(out) <= invariants.diameter(t))
         kinds[kind] += 1
@@ -438,13 +434,15 @@ def _suite_leaf_deletion(samples: int, seed: int) -> list[VerificationResult]:
         t = random_labeled_tree(rng.randint(3, 14), rng)
         u = rng.choice(t.leaves())
         sub, old_to_new = induced_subtree(t, (v for v in range(t.n) if v != u))
-        ok = (counting.count_subtrees(sub) < counting.count_subtrees(t)
-              and counting.count_leaf_subtrees(sub) < counting.count_leaf_subtrees(t))
+        fb, sb = counting.subtree_totals(t)
+        fa, sa = counting.subtree_totals(sub)
+        ok = fa < fb and sa < sb
         is_path = max(len(a) for a in t.adj) <= 2
+        f_t, fs_t = counting.anchored_counts(t)
+        f_sub, fs_sub = counting.anchored_counts(sub)
         for v, nv in old_to_new.items():
-            ok = ok and counting.count_subtrees_at(sub, nv) < counting.count_subtrees_at(t, v)
-            before = counting.count_leaf_subtrees_at(t, v)
-            after = counting.count_leaf_subtrees_at(sub, nv)
+            ok = ok and f_sub[nv] < f_t[v]
+            before, after = fs_t[v], fs_sub[nv]
             expect_equal = is_path and t.is_leaf(v) and v != u
             if expect_equal:
                 equalities += 1
@@ -459,15 +457,15 @@ def _suite_pendant_edge(samples: int, seed: int) -> list[VerificationResult]:
     rng = random.Random(seed)
     violations: list[Tree] = []
     k2 = Tree(2, [(0, 1)])
-    if not (counting.count_subtrees_at(k2, 0) == counting.count_subtrees_at(k2, 1)
-            and counting.count_leaf_subtrees_at(k2, 0) == counting.count_leaf_subtrees_at(k2, 1)):
+    f, fs = counting.anchored_counts(k2)
+    if not (f[0] == f[1] and fs[0] == fs[1]):
         violations.append(k2)
     for _ in range(samples):
         t = random_labeled_tree(rng.randint(3, 16), rng)
         u = rng.choice(t.leaves())
         v = t.adj[u][0]
-        ok = (counting.count_subtrees_at(t, u) < counting.count_subtrees_at(t, v)
-              and counting.count_leaf_subtrees_at(t, u) < counting.count_leaf_subtrees_at(t, v))
+        f, fs = counting.anchored_counts(t)
+        ok = f[u] < f[v] and fs[u] < fs[v]
         if not ok and not violations:
             violations.append(t)
     return _suite_result("pendant-edge", samples, seed, violations,
@@ -496,8 +494,7 @@ def _suite_path_attachment(samples: int, seed: int) -> list[VerificationResult]:
         w = rng.randrange(base.n)
         k = rng.randint(2, 8)
         series = [_attach_path_at(base, w, k, i) for i in range(1, k + 1)]
-        fs = [counting.count_subtrees(t) for t in series]
-        gs = [counting.count_leaf_subtrees(t) for t in series]
+        fs, gs = zip(*map(counting.subtree_totals, series))
         ok = True
         for i in range(k):
             ok = ok and fs[i] == fs[k - 1 - i] and gs[i] == gs[k - 1 - i]
@@ -585,14 +582,14 @@ def _suite_path_comparison(samples: int, seed: int) -> list[VerificationResult]:
         for xt, xroot, yt, yroot in sides:
             fx = counting.count_subtrees_at(xt, xroot)
             fy = counting.count_subtrees_at(yt, yroot)
-            assert fx >= fy and _anchored_leaf_count(xt, xroot) >= \
-                _anchored_leaf_count(yt, yroot), "generator broke the hypothesis"
+            if not (fx >= fy and _anchored_leaf_count(xt, xroot)
+                    >= _anchored_leaf_count(yt, yroot)):
+                raise RuntimeError(f"path-comparison seed {seed}: the instance "
+                                   "generator broke the side-domination hypothesis")
             if fx > fy:
                 any_strict = True
-        fwx = counting.count_subtrees_at(w, x)
-        fwy = counting.count_subtrees_at(w, y)
-        swx = counting.count_leaf_subtrees_at(w, x)
-        swy = counting.count_leaf_subtrees_at(w, y)
+        f, fs = counting.anchored_counts(w)
+        fwx, fwy, swx, swy = f[x], f[y], fs[x], fs[y]
         ok = fwx >= fwy and swx >= swy
         if any_strict:
             strict += 1

@@ -4,9 +4,10 @@ import random
 import pytest
 
 from conftest import make_path, make_star
-from treecount.counting import (count_leaf_subtrees, count_leaf_subtrees_at,
-                                count_report, count_subtrees, count_subtrees_at,
-                                count_subtrees_at_pair, wiener_index)
+from treecount.counting import (anchored_counts, count_leaf_subtrees,
+                                count_leaf_subtrees_at, count_report, count_subtrees,
+                                count_subtrees_at, count_subtrees_at_pair,
+                                subtree_totals, wiener_index)
 from treecount.enumeration import all_trees, random_labeled_tree
 from treecount.families import FamilySpec, construct
 from treecount.oracle import TooLargeError, oracle_counts, oracle_pair_count
@@ -93,6 +94,35 @@ class TestAnchored:
             if v is None:
                 continue
             assert count_subtrees_at_pair(t, u, v) == oracle_pair_count(t, u, v)
+
+
+def _differential_trees():
+    """Every tree with n <= 10, then seeded random trees up to n = 200."""
+    for n in range(1, 11):
+        yield from all_trees(n)
+    rng = random.Random(200)
+    for n in [11, 17, 40, 99, 200] + [rng.randint(2, 200) for _ in range(25)]:
+        yield random_labeled_tree(n, rng)
+
+
+class TestOneRooting:
+    """The one-rooting helpers against a rooting per vertex (anchored counts)
+    and against the stem built as a Tree (totals)."""
+
+    def test_anchored_counts_match_per_vertex_rootings(self):
+        for t in _differential_trees():
+            f, fstar = anchored_counts(t)
+            assert f == [count_subtrees_at(t, v) for v in range(t.n)]
+            if t.n == 1:
+                assert fstar is None
+            else:
+                assert fstar == [count_leaf_subtrees_at(t, v) for v in range(t.n)]
+
+    def test_subtree_totals_match_stem_tree(self):
+        for t in _differential_trees():
+            F = count_subtrees(t)
+            stem = count_subtrees(strip_leaves(t)[0]) if t.n > 2 else 0
+            assert subtree_totals(t) == (F, count_leaf_subtrees(t)) == (F, F - stem)
 
 
 class TestWiener:

@@ -3,13 +3,13 @@ import pytest
 from bruteforce import (brute_domination, brute_matching,
                         brute_maximum_matchings, brute_optimal_dominating_sets)
 from conftest import make_path, make_star, relabeled
-from treecount.enumeration import all_trees
+from treecount.enumeration import all_trees, random_labeled_tree
 from treecount.families import FamilySpec, construct
 from treecount.invariants import (diameter, domination_number, has_perfect_matching,
                                   invariant_profile, matching_number,
                                   maximum_matching, minimum_dominating_set,
                                   perfect_matching_edges)
-from treecount.tree import Tree
+from treecount.tree import Tree, preorder
 
 
 class TestMatching:
@@ -105,6 +105,26 @@ class TestProfile:
         assert d == {"matching": 2, "domination": 2, "diameter": 3,
                      "leafCount": 2, "maxDegree": 2, "centers": [1, 2],
                      "hasPerfectMatching": True}
+
+
+def _eccentricity_diameter(t: Tree) -> int:
+    """Largest depth over a rooting at every vertex."""
+    best = 0
+    for root in range(t.n):
+        order, parent = preorder(t, root)
+        depth = [0] * t.n
+        for v in order[1:]:
+            depth[v] = depth[parent[v]] + 1
+        best = max(best, max(depth))
+    return best
+
+
+class TestDiameter:
+    def test_against_every_rooting(self, rng):
+        trees = [t for n in range(1, 11) for t in all_trees(n)]
+        trees += [random_labeled_tree(rng.randint(2, 150), rng) for _ in range(60)]
+        for t in trees:
+            assert diameter(t) == _eccentricity_diameter(t)
 
 
 class TestLargeTrees:

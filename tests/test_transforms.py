@@ -1,15 +1,18 @@
+import random
+
 import pytest
 
 from conftest import make_path, make_star
 from treecount.counting import count_leaf_subtrees, count_subtrees
-from treecount.enumeration import random_labeled_tree
+from treecount.enumeration import all_trees, random_labeled_tree
 from treecount.families import FamilySpec, construct
 from treecount.invariants import diameter
 from treecount.oracle import oracle_counts
 from treecount.transforms import (BadAnchorError, CenterViolationError,
                                   NoPathChildError, SideTooSmallError,
                                   TransformSpec, a_transform, apply_transform,
-                                  b_transform, c_transform, classify_c_anchor,
+                                  b_transform, c_anchors, c_transform,
+                                  classify_c_anchor,
                                   is_pendant_path_component)
 from treecount.tree import Tree, is_isomorphic
 
@@ -137,6 +140,38 @@ class TestCTransform:
                       (4, 8), (8, 9), (8, 10)])
         with pytest.raises(NoPathChildError):
             c_transform(t, 4)
+
+
+def _c_anchors_by_trial(t: Tree) -> list[int]:
+    anchors = []
+    for v in range(t.n):
+        try:
+            c_transform(t, v)
+        except ValueError:
+            continue
+        anchors.append(v)
+    return anchors
+
+
+class TestCAnchors:
+    def test_every_small_tree(self):
+        for n in range(1, 12):
+            for t in all_trees(n):
+                assert c_anchors(t) == _c_anchors_by_trial(t)
+
+    def test_random_trees(self):
+        rng = random.Random(40)
+        for _ in range(2000):
+            t = random_labeled_tree(rng.randint(1, 40), rng)
+            assert c_anchors(t) == _c_anchors_by_trial(t)
+
+    def test_bicentral_partner_rule(self):
+        # two hubs of degree 3 joined by an edge: both are C' anchors; with
+        # one hub cut down to degree 2 neither is (the partner needs degree > 2)
+        t = Tree(8, [(0, 1), (0, 2), (2, 3), (0, 4), (1, 5), (5, 6), (1, 7)])
+        assert c_anchors(t) == [0, 1] == _c_anchors_by_trial(t)
+        u = Tree(7, [(0, 1), (0, 2), (2, 3), (0, 4), (1, 5), (5, 6)])
+        assert c_anchors(u) == [] == _c_anchors_by_trial(u)
 
 
 class TestDispatch:

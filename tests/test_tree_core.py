@@ -48,6 +48,44 @@ class TestParse:
             parse_tree("3\n0 1\n1 5")
 
 
+class TestConstruction:
+    def test_edge_order_and_orientation_do_not_matter(self):
+        rng = random.Random(14)
+        for _ in range(300):
+            t = random_labeled_tree(rng.randint(1, 60), rng)
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in t.edges]
+            rng.shuffle(edges)
+            s = Tree(t.n, edges)
+            assert s.edges == t.edges == tuple(sorted(t.edges))
+            assert s.adj == t.adj
+            assert s.adj == tuple(tuple(sorted(w for e in t.edges for w in e
+                                               if v in e and w != v))
+                                  for v in range(t.n))
+
+    # (n, edges, exception, message): checks run in this order, so an input
+    # with several faults reports the first
+    MALFORMED = [
+        (0, [], NotATreeError, "a tree has at least one vertex"),
+        (3, [(0, 1), (2, 2)], NotATreeError, "self-loop at vertex 2"),
+        (3, [(0, 1), (1, 3), (1, 1)], LabelOutOfRangeError, "edge (1, 3) outside 0..2"),
+        (3, [(1, 1), (1, 3)], NotATreeError, "self-loop at vertex 1"),
+        (3, [(-1, 0), (0, 1)], LabelOutOfRangeError, "edge (-1, 0) outside 0..2"),
+        (4, [(0, 1), (1, 0)], NotATreeError, "2 edges for 4 vertices, expected 3"),
+        (4, [(0, 1), (1, 2), (2, 3), (3, 0)], NotATreeError,
+         "4 edges for 4 vertices, expected 3"),
+        (4, [(0, 1), (1, 0), (2, 3)], NotATreeError, "duplicate edge"),
+        (4, [(2, 3), (0, 1), (3, 2)], NotATreeError, "duplicate edge"),
+        (4, [(0, 1), (1, 2), (2, 0)], NotATreeError, "graph is not connected"),
+        (5, [(3, 4), (0, 1), (1, 2), (2, 0)], NotATreeError, "graph is not connected"),
+    ]
+
+    @pytest.mark.parametrize("n, edges, exc, message", MALFORMED)
+    def test_malformed_input_class_and_message(self, n, edges, exc, message):
+        with pytest.raises(exc) as info:
+            Tree(n, edges)
+        assert type(info.value) is exc and str(info.value) == message
+
+
 class TestSerialize:
     def test_edgelist_bytes(self):
         assert serialize_tree(make_path(3)) == "3\n0 1\n1 2\n"

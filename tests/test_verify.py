@@ -3,9 +3,10 @@ import json
 import jsonschema
 import pytest
 
+from treecount import counting, verify
 from treecount.families import FamilySpec, construct
 from treecount.schemas import VERIFICATION_SCHEMA
-from treecount.tree import canonical_form
+from treecount.tree import Tree, canonical_form, serialize_tree
 from treecount.verify import (LEMMA_TAGS, THEOREM_TAGS, UnknownTagError,
                               run_lemma_suite, theorem_orders, verify_theorem)
 
@@ -148,6 +149,108 @@ class TestLemmaSuites:
             run_lemma_suite("L9.9")
         with pytest.raises(ValueError):
             run_lemma_suite("L3.1", samples=0)
+
+
+class TestLemmaSuitesPinned:
+    """The suites draw and judge the same instances as the per-vertex
+    rooting code they replaced: these values were recorded from it."""
+
+    NOTES = {
+        ("L3.1", 0): "119 equality instances (branch already a pendant path)",
+        ("L3.1", 7): "124 equality instances (branch already a pendant path)",
+        ("L3.2", 0): "",
+        ("L3.2", 7): "",
+        ("L3.3", 0): "181 plain instances, 119 bicenter instances",
+        ("L3.3", 7): "179 plain instances, 121 bicenter instances",
+        ("leaf-deletion", 0): "79 anchored equality cases (path, opposite leaf)",
+        ("leaf-deletion", 7): "80 anchored equality cases (path, opposite leaf)",
+        ("pendant-edge", 0): "equality only on the two-vertex tree (checked)",
+        ("pendant-edge", 7): "equality only on the two-vertex tree (checked)",
+        ("path-attachment", 0): "",
+        ("path-attachment", 7): "",
+        ("path-comparison", 0): "192 instances with a strictly dominating side",
+        ("path-comparison", 7): "194 instances with a strictly dominating side",
+    }
+
+    @pytest.mark.parametrize("tag, seed", sorted(NOTES))
+    def test_report(self, tag, seed):
+        assert run_lemma_suite(tag, samples=300, seed=seed)[0].to_json_dict() == {
+            "theorem": tag, "n": None, "constraint": {"samples": 300, "seed": seed},
+            "claimed": None, "achieved": None, "extremizers": [], "expected": None,
+            "pass": True, "classSize": None, "counterexample": None,
+            "notes": self.NOTES[tag, seed]}
+
+
+_totals, _anchored = counting.subtree_totals, counting.anchored_counts
+
+
+def _constant_totals(t):
+    return 1, 1
+
+
+def _constant_fstar(t):
+    return _totals(t)[0], 1
+
+
+def _flat_anchored(t):
+    return [1] * t.n, [1] * t.n
+
+
+def _flat_fstar(t):
+    return _anchored(t)[0], [1] * t.n
+
+
+def _fstar_by_label(t):
+    return _anchored(t)[0], list(range(t.n))
+
+
+class TestBrokenCounterFailsEverySuite:
+    """A counter that makes each lemma's inequality false must fail its
+    suite, with the first instance drawn as the counterexample (pinned where
+    recorded from the per-vertex rooting code under constant counters)."""
+
+    CASES = [
+        ("L3.1", "subtree_totals", _constant_totals,
+         "7\n0 4\n1 2\n1 5\n2 4\n3 4\n4 6\n"),
+        ("L3.2", "subtree_totals", _constant_totals,
+         "7\n0 4\n1 2\n1 5\n2 4\n3 4\n4 6\n"),
+        ("L3.2", "subtree_totals", _constant_fstar,
+         "7\n0 4\n1 2\n1 5\n2 4\n3 4\n4 6\n"),
+        ("L3.3", "subtree_totals", _constant_totals,
+         "8\n0 1\n0 7\n1 5\n2 3\n2 5\n4 7\n6 7\n"),
+        ("leaf-deletion", "subtree_totals", _constant_totals,
+         "6\n0 4\n1 2\n1 4\n2 5\n3 4\n"),
+        ("leaf-deletion", "anchored_counts", _flat_anchored,
+         "6\n0 4\n1 2\n1 4\n2 5\n3 4\n"),
+        ("pendant-edge", "anchored_counts", _flat_anchored,
+         "6\n0 4\n1 2\n1 4\n2 5\n3 4\n"),
+        ("pendant-edge", "anchored_counts", _flat_fstar,
+         "6\n0 4\n1 2\n1 4\n2 5\n3 4\n"),
+        ("path-attachment", "subtree_totals", _constant_totals,
+         "5\n0 2\n1 2\n2 3\n3 4\n"),
+        ("path-comparison", "anchored_counts", _flat_anchored, None),
+        ("path-comparison", "anchored_counts", _fstar_by_label, None),
+    ]
+
+    @pytest.mark.parametrize("tag, helper, broken, first", CASES,
+                             ids=[f"{c[0]}-{c[2].__name__}" for c in CASES])
+    def test_suite_fails(self, monkeypatch, tag, helper, broken, first):
+        monkeypatch.setattr(counting, helper, broken)
+        res = run_lemma_suite(tag, samples=60, seed=3)[0]
+        assert not res.passed and res.counterexample is not None
+        if first is not None:
+            assert serialize_tree(res.counterexample) == first
+
+    def test_every_suite_covered(self):
+        assert {c[0] for c in self.CASES} == set(LEMMA_TAGS)
+
+
+def test_path_comparison_hypothesis_check_is_not_an_assert(monkeypatch):
+    # sides grown into a single vertex no longer dominate the side they grew
+    # from; the check must raise even under python -O
+    monkeypatch.setattr(verify, "_grow", lambda t, root, rng, extra: (Tree(1, []), 0))
+    with pytest.raises(RuntimeError, match="seed 5"):
+        run_lemma_suite("path-comparison", samples=50, seed=5)
 
 
 class TestClassSizes:
