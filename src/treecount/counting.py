@@ -44,17 +44,71 @@ class CountReport:
         }
 
 
+# Counts below one machine word multiply and add in constant time.  The star
+# has the most subtrees of any tree of its order (Szekely-Wang 2005), and the
+# star on 64 vertices has 2^63 + 63 < 2^64, so no count of a tree on at most
+# _SMALL_ORDER vertices reaches a word.
+_WORD = 1 << 64
+_SMALL_ORDER = 64
+
+
 def _products(order: list[int], parent: list[int], g: list[int]) -> list[int]:
     """Fold g (1 on counted vertices, 0 elsewhere) upward, in place.
 
     Afterwards g[v] is the number of subtrees of counted vertices whose vertex
     closest to the root is v.
+
+    Multiplying a hub's growing count by one small factor per child would
+    copy the big integer once per child.  So once a count reaches a word,
+    its later child factors are held back, packed into products of about a
+    word each, and multiplied in as one balanced product when the pass
+    reaches the vertex itself.
     """
+    if len(order) <= _SMALL_ORDER:
+        for v in reversed(order):
+            p = parent[v]
+            if p >= 0:
+                g[p] *= g[v] + 1
+        return g
+    held: dict[int, list[int]] = {}
     for v in reversed(order):
+        x = g[v]
+        if x >= _WORD and v in held:
+            x = g[v] = x * _balanced_product(held.pop(v))
         p = parent[v]
         if p >= 0:
-            g[p] *= g[v] + 1
+            if g[p] < _WORD:
+                g[p] *= x + 1
+            else:
+                factors = held.get(p)
+                if factors is None:
+                    held[p] = [x + 1]
+                elif factors[-1] < _WORD:
+                    factors[-1] *= x + 1
+                else:
+                    factors.append(x + 1)
     return g
+
+
+def _balanced_product(xs: list[int]) -> int:
+    """Product of xs (consumed) by pairs, so each level's operands are of
+    like size."""
+    while len(xs) > 1:
+        if len(xs) % 2:
+            xs.append(1)
+        xs = [a * b for a, b in zip(xs[::2], xs[1::2])]
+    return xs[0]
+
+
+def _sum_counts(g: list[int], bound: int) -> int:
+    """Sum of g, whose entries are at most bound.  Past a word, g is sorted
+    in place and added in ascending order, so the running total stays small
+    until the end: a plain left fold copies a huge early total once per
+    later entry."""
+    if bound < _WORD:
+        return sum(g)
+    g.sort()
+    return sum(g)
 
 
 def _reroot(order: list[int], parent: list[int], g: list[int]) -> list[int]:
@@ -71,7 +125,7 @@ def _reroot(order: list[int], parent: list[int], g: list[int]) -> list[int]:
 
 def _stem(t: Tree) -> list[int]:
     """1 on every non-leaf vertex, 0 on every leaf."""
-    return [int(len(a) > 1) for a in t.adj]
+    return [1 if len(a) > 1 else 0 for a in t.adj]
 
 
 def _check_vertex(t: Tree, *vs: int) -> None:
@@ -83,8 +137,11 @@ def _check_vertex(t: Tree, *vs: int) -> None:
 def subtree_totals(t: Tree) -> tuple[int, int]:
     """(F, F*) of t from one preorder."""
     order, parent = preorder(t, 0)
-    F = sum(_products(order, parent, [1] * t.n))
-    return F, F - sum(_products(order, parent, _stem(t)))
+    g = _products(order, parent, [1] * t.n)
+    F = _sum_counts(g, g[0])  # the root's count is the largest
+    del g  # so that the two lists are never held at once
+    stem = _products(order, parent, _stem(t))
+    return F, F - _sum_counts(stem, F)
 
 
 def anchored_counts(t: Tree) -> tuple[list[int], list[int] | None]:
@@ -109,7 +166,8 @@ def anchored_counts(t: Tree) -> tuple[list[int], list[int] | None]:
 def count_subtrees(t: Tree) -> int:
     """Total number of subtrees F(t)."""
     order, parent = preorder(t, 0)
-    return sum(_products(order, parent, [1] * t.n))
+    g = _products(order, parent, [1] * t.n)
+    return _sum_counts(g, g[0])
 
 
 def count_subtrees_at(t: Tree, v: int) -> int:

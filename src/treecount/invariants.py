@@ -129,11 +129,10 @@ def minimum_dominating_set(t: Tree) -> tuple[int, ...]:
     return tuple(chosen)
 
 
-def diameter(t: Tree) -> int:
-    """Maximum eccentricity, from one rooting: the longest path tops out at
-    some vertex, where it joins its two highest child branches."""
-    order, parent = preorder(t, 0)
-    height = [0] * t.n
+def _diameter(order: list[int], parent: list[int]) -> int:
+    """The longest path tops out at some vertex, where it joins that
+    vertex's two highest child branches."""
+    height = [0] * len(order)
     d = 0
     for v in reversed(order):
         p = parent[v]
@@ -146,12 +145,27 @@ def diameter(t: Tree) -> int:
     return d
 
 
+def diameter(t: Tree) -> int:
+    """Maximum eccentricity, from one rooting."""
+    order, parent = preorder(t, 0)
+    return _diameter(order, parent)
+
+
+def _rooted_invariants(t: Tree) -> tuple[int, int, int]:
+    """Matching number, domination number and diameter from one rooting."""
+    order, parent = preorder(t, 0)
+    return (len(_matching(order, parent, [True] * t.n)),
+            _domination(t, order, parent), _diameter(order, parent))
+
+
 def invariant_profile(t: Tree) -> InvariantProfile:
-    q = matching_number(t)
+    # The rooting is freed before the leaf and center passes, so the profile
+    # holds no more memory at once than one invariant alone does.
+    q, gamma, d = _rooted_invariants(t)
     return InvariantProfile(
         matching=q,
-        domination=domination_number(t),
-        diameter=diameter(t),
+        domination=gamma,
+        diameter=d,
         leaf_count=len(t.leaves()),
         max_degree=max(len(a) for a in t.adj),
         centers=centers(t),

@@ -294,10 +294,13 @@ def induced_subtree(t: Tree, keep: Iterable[int]) -> tuple[Tree, dict[int, int]]
     """
     kept = sorted(set(keep))
     old_to_new = {v: i for i, v in enumerate(kept)}
+    # Only the kept vertices' own edges are read, so a small piece of a large
+    # tree costs its size, not the host's.
     edges = [
-        (old_to_new[u], old_to_new[v])
-        for u, v in t.edges
-        if u in old_to_new and v in old_to_new
+        (i, old_to_new[w])
+        for i, v in enumerate(kept)
+        for w in t.adj[v]
+        if w > v and w in old_to_new
     ]
     return Tree(len(kept), edges), old_to_new
 
@@ -337,19 +340,16 @@ def path_decomposition(t: Tree, x: int, y: int) -> PathDecomposition:
     on_path = set(path)
 
     def component_at(p: int) -> RootedComponent:
-        prev = path[path.index(p) - 1]
-        nxt = path[path.index(p) + 1]
+        # Never stepping onto the path keeps p's path neighbours out, so the
+        # search costs the component's size.
         seen = {p}
         stack = [p]
         while stack:
             v = stack.pop()
             for w in t.adj[v]:
-                if w in seen or (v == p and w in (prev, nxt)):
-                    continue
-                if w in on_path:
-                    continue
-                seen.add(w)
-                stack.append(w)
+                if w not in seen and w not in on_path:
+                    seen.add(w)
+                    stack.append(w)
         sub, old_to_new = induced_subtree(t, seen)
         new_to_old = tuple(sorted(seen))
         return RootedComponent(sub, old_to_new[p], new_to_old)

@@ -9,7 +9,7 @@ from treecount.counting import (anchored_counts, count_leaf_subtrees,
                                 count_subtrees_at, count_subtrees_at_pair,
                                 subtree_totals, wiener_index)
 from treecount.enumeration import all_trees, random_labeled_tree
-from treecount.families import FamilySpec, construct
+from treecount.families import FamilySpec, closed_form, construct
 from treecount.oracle import TooLargeError, oracle_counts, oracle_pair_count
 from treecount.tree import (LabelOutOfRangeError, Tree, induced_subtree,
                             path_between, strip_leaves)
@@ -269,3 +269,166 @@ class TestLargeTrees:
         s = make_star(n)
         assert count_subtrees_at_pair(s, 0, 17) == 2 ** (n - 2)
         assert count_subtrees_at_pair(s, 17, 999) == 2 ** (n - 3)
+
+
+# Counts past one machine word.  The product pass holds a vertex's child
+# factors back once its count reaches 2^64 and sums big totals in ascending
+# order; the references below are plain left folds, one child at a time, on
+# a breadth-first rooting written here.
+
+def _bfs(t: Tree, root: int) -> tuple[list[int], list[int]]:
+    parent = [-1] * t.n
+    order = [root]
+    seen = {root}
+    for v in order:
+        for w in t.adj[v]:
+            if w not in seen:
+                seen.add(w)
+                parent[w] = v
+                order.append(w)
+    return order, parent
+
+
+def _fold(t: Tree, root: int, counted: list[int]) -> list[int]:
+    """Subtrees of counted vertices topped at each vertex, rooted at root."""
+    order, parent = _bfs(t, root)
+    g = list(counted)
+    for v in reversed(order[1:]):
+        g[parent[v]] = g[parent[v]] * (g[v] + 1)
+    return g
+
+
+def _stem_seed(t: Tree) -> list[int]:
+    return [int(len(a) > 1) for a in t.adj]
+
+
+def _fold_totals(t: Tree) -> tuple[int, int]:
+    F = sum(_fold(t, 0, [1] * t.n))
+    return F, F - sum(_fold(t, 0, _stem_seed(t)))
+
+
+def _fold_leaf_at(t: Tree, v: int) -> int:
+    avoiding = _stem_seed(t)
+    avoiding[v] = 1
+    return _fold(t, v, [1] * t.n)[v] - _fold(t, v, avoiding)[v]
+
+
+def _fold_pair(t: Tree, u: int, v: int) -> int:
+    """Rooted at u: the count topped at v, times, at each vertex above v on
+    the path, the product of (count + 1) over its children off the path."""
+    order, parent = _bfs(t, u)
+    g = _fold(t, u, [1] * t.n)
+    count, below = g[v], v
+    while below != u:
+        p = parent[below]
+        for c in t.adj[p]:
+            if c != parent[p] and c != below:
+                count *= g[c] + 1
+        below = p
+    return count
+
+
+def _hub_tree(k: int, legs: int, depth: int) -> Tree:
+    """A hub at the end of a path 0..depth (the hub is vertex 0 when depth is
+    0) with k leaf children and ``legs`` children that carry one leaf each.
+
+    Rooted at 0, the hub's count is 2^k * 3^legs with every vertex counted,
+    and 2^legs over the stem."""
+    edges = [(i, i + 1) for i in range(depth)]
+    m = depth + 1
+    for _ in range(k):
+        edges.append((depth, m))
+        m += 1
+    for _ in range(legs):
+        edges += [(depth, m), (m, m + 1)]
+        m += 2
+    return Tree(m, edges)
+
+
+def _hub_trees():
+    for k in range(62, 67):
+        for depth in (0, 3):
+            yield _hub_tree(k, 0, depth)      # crosses the word with 1 everywhere
+            yield _hub_tree(0, k, depth)      # crosses it over the stem too
+            yield _hub_tree(k, k, depth)
+
+
+def _grafted(t: Tree, rng: random.Random, hubs: int) -> Tree:
+    """t with ``hubs`` random vertices given 60-140 new leaves and 60-70 new
+    legs of two vertices each."""
+    edges, m = list(t.edges), t.n
+    for _ in range(hubs):
+        h = rng.randrange(m)
+        for _ in range(rng.randint(60, 140)):
+            edges.append((h, m))
+            m += 1
+        for _ in range(rng.randint(60, 70)):
+            edges += [(h, m), (m, m + 1)]
+            m += 2
+    return Tree(m, edges)
+
+
+class TestWordThreshold:
+    def test_hub_totals(self):
+        for t in _hub_trees():
+            totals = _fold_totals(t)
+            assert subtree_totals(t) == totals
+            assert (count_subtrees(t), count_leaf_subtrees(t)) == totals
+
+    def test_hub_values(self):
+        # the hub's count under each seed, from its closed value
+        for k in range(62, 67):
+            for depth in (0, 3):
+                t = _hub_tree(k, k, depth)
+                assert _fold(t, 0, [1] * t.n)[depth] == 2 ** k * 3 ** k
+                assert _fold(t, 0, _stem_seed(t))[depth] == 2 ** k
+                assert count_subtrees_at(t, depth) == (2 ** k * 3 ** k) * (depth + 1)
+
+    def test_hub_anchored(self):
+        for t in _hub_trees():
+            f, fstar = anchored_counts(t)
+            assert f == [_fold(t, v, [1] * t.n)[v] for v in range(t.n)]
+            assert fstar == [_fold_leaf_at(t, v) for v in range(t.n)]
+            assert f == [count_subtrees_at(t, v) for v in range(t.n)]
+            assert fstar == [count_leaf_subtrees_at(t, v) for v in range(t.n)]
+
+    def test_hub_pairs(self):
+        rng = random.Random(64)
+        for t in _hub_trees():
+            pairs = [(0, t.n - 1), (t.n - 1, 0)] + [tuple(rng.sample(range(t.n), 2))
+                                                    for _ in range(15)]
+            for u, v in pairs:
+                assert count_subtrees_at_pair(t, u, v) == _fold_pair(t, u, v)
+
+    def test_grafted_anchored(self):
+        rng = random.Random(66)
+        for n in (2, 30, 120):
+            t = _grafted(random_labeled_tree(n, rng), rng, 2)
+            f, fstar = anchored_counts(t)
+            assert f == [_fold(t, v, [1] * t.n)[v] for v in range(t.n)]
+            for v in range(0, t.n, 7):
+                assert fstar[v] == _fold_leaf_at(t, v)
+            for u, v in [tuple(rng.sample(range(t.n), 2)) for _ in range(10)]:
+                assert count_subtrees_at_pair(t, u, v) == _fold_pair(t, u, v)
+
+    def test_grafted_totals(self):
+        rng = random.Random(65)
+        for n in (1, 50, 2000, 5000):
+            t = _grafted(random_labeled_tree(n, rng), rng, 4)
+            assert subtree_totals(t) == _fold_totals(t)
+
+    def test_random_100000(self):
+        t = random_labeled_tree(100_000, random.Random(100_000))
+        totals = _fold_totals(t)
+        assert totals[0] >= 2 ** 64
+        assert subtree_totals(t) == totals
+        assert (count_subtrees(t), count_leaf_subtrees(t)) == totals
+
+    @pytest.mark.parametrize("spec", [FamilySpec("star", n=100_000),
+                                      FamilySpec("t_ndelta", n=100_000, delta=50_000)],
+                             ids=["star", "broom"])
+    def test_closed_forms_100000(self, spec):
+        t = construct(spec)
+        F, Fstar = (closed_form(spec, q).value for q in ("F", "Fstar"))
+        assert subtree_totals(t) == (F, Fstar)
+        assert (count_subtrees(t), count_leaf_subtrees(t)) == (F, Fstar)

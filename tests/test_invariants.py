@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from bruteforce import (brute_domination, brute_matching,
@@ -5,11 +7,11 @@ from bruteforce import (brute_domination, brute_matching,
 from conftest import make_path, make_star, relabeled
 from treecount.enumeration import all_trees, random_labeled_tree
 from treecount.families import FamilySpec, construct
-from treecount.invariants import (diameter, domination_number, has_perfect_matching,
-                                  invariant_profile, matching_number,
+from treecount.invariants import (InvariantProfile, diameter, domination_number,
+                                  has_perfect_matching, invariant_profile, matching_number,
                                   maximum_matching, minimum_dominating_set,
                                   perfect_matching_edges)
-from treecount.tree import Tree, preorder
+from treecount.tree import Tree, centers, preorder
 
 
 class TestMatching:
@@ -125,6 +127,32 @@ class TestDiameter:
         trees += [random_labeled_tree(rng.randint(2, 150), rng) for _ in range(60)]
         for t in trees:
             assert diameter(t) == _eccentricity_diameter(t)
+
+
+def _separate_profile(t: Tree) -> InvariantProfile:
+    q = matching_number(t)
+    return InvariantProfile(
+        matching=q, domination=domination_number(t), diameter=diameter(t),
+        leaf_count=sum(t.degree(v) <= 1 for v in range(t.n)),
+        max_degree=max(t.degree(v) for v in range(t.n)), centers=centers(t),
+        has_perfect_matching=has_perfect_matching(t))
+
+
+class TestProfileFromOneRooting:
+    """The profile shares one rooting; each field against its own entry point."""
+
+    def test_every_small_tree(self):
+        for n in range(1, 11):
+            for t in all_trees(n):
+                assert invariant_profile(t) == _separate_profile(t)
+
+    @pytest.mark.parametrize("shape", ["random", "path", "star", "broom"])
+    def test_large_shapes(self, shape):
+        n = 100_000
+        t = {"random": lambda: random_labeled_tree(n, random.Random(n)),
+             "path": lambda: make_path(n), "star": lambda: make_star(n),
+             "broom": lambda: construct(FamilySpec("t_ndelta", n=n, delta=n // 2))}[shape]()
+        assert invariant_profile(t) == _separate_profile(t)
 
 
 class TestLargeTrees:

@@ -230,6 +230,77 @@ class TestPaths:
                 covered.extend(c.original_vertices)
             assert sorted(covered) == list(range(t.n))
 
+    @staticmethod
+    def _check_component(t, comp, expected):
+        """The component is the induced subtree on the expected vertices,
+        relabeled in sorted order, rooted at its path vertex."""
+        kept = sorted(expected)
+        new = {v: i for i, v in enumerate(kept)}
+        assert comp.original_vertices == tuple(kept)
+        assert comp.tree == Tree(len(kept), [(new[u], new[v]) for u, v in t.edges
+                                             if u in new and v in new])
+
+    def test_decomposition_long_path(self):
+        n = 4000
+        t = make_path(n)
+        dec = path_decomposition(t, 0, n - 1)
+        assert dec.path == tuple(range(n)) and dec.z_component is None
+        assert len(dec.x_components) == len(dec.y_components) == (n - 1) // 2
+        for i, (cx, cy) in enumerate(zip(dec.x_components, dec.y_components), 1):
+            assert (cx.original_vertices, cx.root, cx.tree.n) == ((i,), 0, 1)
+            assert (cy.original_vertices, cy.root, cy.tree.n) == ((n - 1 - i,), 0, 1)
+        dec = path_decomposition(make_path(n - 1), 0, n - 2)
+        assert dec.z_component.original_vertices == ((n - 2) // 2,)
+
+    def test_decomposition_caterpillars(self, rng):
+        # spine 0..L-1, then pendants; x and y are pendants at spine
+        # vertices i <= j, so the path is x, i, ..., j, y.  Interior spine
+        # vertex s keeps its own pendants, and i and j also keep the spine
+        # beyond them with its pendants.
+        for _ in range(40):
+            spine = rng.randint(1, 60)
+            edges = [(s, s + 1) for s in range(spine - 1)]
+            pendants = {s: [] for s in range(spine)}
+            m = spine
+            for s in range(spine):
+                for _ in range(rng.randint(0, 3)):
+                    edges.append((s, m))
+                    pendants[s].append(m)
+                    m += 1
+            hosts = [s for s in range(spine) if pendants[s]]
+            if not hosts:
+                continue
+            i, j = sorted(rng.choice(hosts) for _ in range(2))
+            if i == j and len(pendants[i]) < 2:
+                continue
+            x, y = (rng.sample(pendants[i], 2) if i == j
+                    else (rng.choice(pendants[i]), rng.choice(pendants[j])))
+            t = Tree(m, edges)
+
+            def expected(s):
+                block = {s, *pendants[s]}
+                if s == i:
+                    block.update(w for r in range(i) for w in (r, *pendants[r]))
+                if s == j:
+                    block.update(w for r in range(j + 1, spine) for w in (r, *pendants[r]))
+                return block - {x, y}
+
+            dec = path_decomposition(t, x, y)
+            path = (x, *range(i, j + 1), y)
+            d = len(path) - 1
+            assert dec.path == path
+            side = (d - 1) // 2
+            assert len(dec.x_components) == len(dec.y_components) == side
+            for k in range(1, side + 1):
+                for comp, s in ((dec.x_components[k - 1], path[k]),
+                                (dec.y_components[k - 1], path[d - k])):
+                    self._check_component(t, comp, expected(s))
+                    assert comp.original_vertices[comp.root] == s
+            if d % 2:
+                assert dec.z_component is None
+            else:
+                self._check_component(t, dec.z_component, expected(path[d // 2]))
+
     def test_decomposition_errors(self):
         with pytest.raises(NotALeafError):
             path_decomposition(make_path(5), 1, 4)
