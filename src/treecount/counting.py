@@ -4,8 +4,10 @@ A subtree is a nonempty connected induced subgraph.  All counts are exact
 Python integers; star-like trees push them past 64 bits quickly, so nothing
 here may silently wrap.
 
-Every count comes from one rooting: a product pass folds the per-vertex
-counts upward, and a reroot pass carries them back down to every vertex.
+Every count comes from one rooting, the tree's own (``Tree.rooting``) unless
+the count is anchored at another vertex: a product pass folds the
+per-vertex counts upward, and a reroot pass carries them back down to every
+vertex.
 Seeding the leaves with 0 instead of 1 restricts both passes to the stem
 (the tree minus its leaves), so no sub-tree is ever built.
 
@@ -17,6 +19,7 @@ Under these, every subtree of a 1- or 2-vertex tree contains a leaf.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .tree import LabelOutOfRangeError, Tree, preorder
 
@@ -52,11 +55,13 @@ _WORD = 1 << 64
 _SMALL_ORDER = 64
 
 
-def _products(order: list[int], parent: list[int], g: list[int]) -> list[int]:
+def _products(order: Sequence[int], parent: Sequence[int], g: list[int]) -> list[int]:
     """Fold g (1 on counted vertices, 0 elsewhere) upward, in place.
 
-    Afterwards g[v] is the number of subtrees of counted vertices whose vertex
-    closest to the root is v.
+    ``order`` lists parents before their children; read backwards, it folds
+    every child into its parent before the parent is read.  Afterwards g[v]
+    is the number of subtrees of counted vertices whose vertex closest to
+    the root is v.
 
     Multiplying a hub's growing count by one small factor per child would
     copy the big integer once per child.  So once a count reaches a word,
@@ -111,8 +116,9 @@ def _sum_counts(g: list[int], bound: int) -> int:
     return sum(g)
 
 
-def _reroot(order: list[int], parent: list[int], g: list[int]) -> list[int]:
-    """f[v] = number of subtrees (of counted vertices) containing v.
+def _reroot(order: Sequence[int], parent: Sequence[int], g: list[int]) -> list[int]:
+    """f[v] = number of subtrees (of counted vertices) containing v, filled in
+    parents first along ``order``.
 
     f[p] // (g[c] + 1) counts those through p that avoid its child c; the
     division is exact because g[c] + 1 is a factor of f[p].
@@ -135,8 +141,8 @@ def _check_vertex(t: Tree, *vs: int) -> None:
 
 
 def subtree_totals(t: Tree) -> tuple[int, int]:
-    """(F, F*) of t from one preorder."""
-    order, parent = preorder(t, 0)
+    """(F, F*) of t from its rooting."""
+    order, parent = t.rooting
     g = _products(order, parent, [1] * t.n)
     F = _sum_counts(g, g[0])  # the root's count is the largest
     del g  # so that the two lists are never held at once
@@ -145,14 +151,14 @@ def subtree_totals(t: Tree) -> tuple[int, int]:
 
 
 def anchored_counts(t: Tree) -> tuple[list[int], list[int] | None]:
-    """(f, f*): the anchored counts of every vertex from one preorder and two
-    reroots; f* is None on a one-vertex tree, where it is undefined.
+    """(f, f*): the anchored counts of every vertex from the tree's rooting
+    and two reroots; f* is None on a one-vertex tree, where it is undefined.
 
     f*(v) = f(v) - f_stem(v) for an internal v.  A subtree through a leaf v
     that avoids every other leaf is {v} or v plus a stem subtree through its
     neighbour, so f*(v) = f(v) - 1 - f_stem(neighbour) there.
     """
-    order, parent = preorder(t, 0)
+    order, parent = t.rooting
     stem = _stem(t)
     f = _reroot(order, parent, _products(order, parent, [1] * t.n))
     if t.n < 2:
@@ -165,7 +171,7 @@ def anchored_counts(t: Tree) -> tuple[list[int], list[int] | None]:
 
 def count_subtrees(t: Tree) -> int:
     """Total number of subtrees F(t)."""
-    order, parent = preorder(t, 0)
+    order, parent = t.rooting
     g = _products(order, parent, [1] * t.n)
     return _sum_counts(g, g[0])
 
@@ -228,7 +234,7 @@ def wiener_index(t: Tree) -> int:
 
     Each edge contributes (size of one side) * (size of the other side).
     """
-    order, parent = preorder(t, 0)
+    order, parent = t.rooting
     size = [1] * t.n
     total = 0
     for v in reversed(order):

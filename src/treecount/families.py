@@ -106,21 +106,67 @@ def _corona_base(spec: FamilySpec) -> int:
     raise BadParamsError("family 'corona_path' needs parameter 'm' (or an even 'n')")
 
 
+def _check_params(spec: FamilySpec) -> tuple[int, ...]:
+    """The family's parameters in builder order, checked against its
+    constraints, so that a tree and a closed form reject a spec alike."""
+    fam = spec.family
+    if fam in ("path", "star"):
+        (n,) = _need(spec, "n")
+        if n < 1:
+            raise BadParamsError(f"{fam} needs n >= 1")
+        return (n,)
+    if fam == "a_nq":
+        n, q = _need(spec, "n", "q")
+        if not (n >= 2 * q >= 2):
+            raise BadParamsError(f"a_nq needs n >= 2q >= 2, got n={n}, q={q}")
+        return n, q
+    if fam == "pk_ab":
+        k, a, b = _need(spec, "k", "a", "b")
+        if k < 2 or a < 0 or b < 0:
+            raise BadParamsError(f"pk_ab needs k >= 2 and a, b >= 0, got k={k}, a={a}, b={b}")
+        return k, a, b
+    if fam == "corona_path":
+        m = _corona_base(spec)
+        if m < 1:
+            raise BadParamsError(f"corona_path needs base length m >= 1, got m={m}")
+        return (m,)
+    if fam == "t_ndelta":
+        n, delta = _need(spec, "n", "delta")
+        if delta < 3 or n < delta + 1:
+            raise BadParamsError(
+                f"t_ndelta needs delta >= 3 and n >= delta+1, got n={n}, delta={delta}")
+        return n, delta
+    if fam == "tprime_ndelta":
+        n, delta = _need(spec, "n", "delta")
+        if delta < 3 or n % 2 or n < 2 * delta - 2:
+            raise BadParamsError(
+                f"tprime_ndelta needs delta >= 3 and even n >= 2*delta-2, got n={n}, delta={delta}")
+        return n, delta
+    if fam == "spider":
+        n, k = _need(spec, "n", "k")
+        if not (2 <= k <= n - 1):
+            raise BadParamsError(f"spider needs 2 <= k <= n-1, got n={n}, k={k}")
+        return n, k
+    if fam == "hat":
+        n, d = _need(spec, "n", "d")
+        k = spec.k if spec.k is not None else d // 2 + 1
+        if not (2 <= d <= n - 1):
+            raise BadParamsError(f"hat needs 2 <= d <= n-1, got n={n}, d={d}")
+        if not (1 <= k <= d + 1):
+            raise BadParamsError(f"hat needs 1 <= k <= d+1, got k={k}, d={d}")
+        return n, d, k
+    raise BadParamsError(f"unknown family {fam!r}")
+
+
 def _build_path(n: int) -> Tree:
-    if n < 1:
-        raise BadParamsError("path needs n >= 1")
     return Tree(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def _build_star(n: int) -> Tree:
-    if n < 1:
-        raise BadParamsError("star needs n >= 1")
     return Tree(n, [(0, i) for i in range(1, n)])
 
 
 def _build_a_nq(n: int, q: int) -> Tree:
-    if not (n >= 2 * q >= 2):
-        raise BadParamsError(f"a_nq needs n >= 2q >= 2, got n={n}, q={q}")
     edges = []
     nxt = 1
     for _ in range(n - 2 * q + 1):     # pendant edges at the hub
@@ -134,8 +180,6 @@ def _build_a_nq(n: int, q: int) -> Tree:
 
 
 def _build_pk_ab(k: int, a: int, b: int) -> Tree:
-    if k < 2 or a < 0 or b < 0:
-        raise BadParamsError(f"pk_ab needs k >= 2 and a, b >= 0, got k={k}, a={a}, b={b}")
     n = k + a + b
     edges = [(i, i + 1) for i in range(k - 1)]
     nxt = k
@@ -149,16 +193,12 @@ def _build_pk_ab(k: int, a: int, b: int) -> Tree:
 
 
 def _build_corona_path(m: int) -> Tree:
-    if m < 1:
-        raise BadParamsError(f"corona_path needs base length m >= 1, got m={m}")
     edges = [(i, i + 1) for i in range(m - 1)]
     edges += [(i, m + i) for i in range(m)]
     return Tree(2 * m, edges)
 
 
 def _build_t_ndelta(n: int, delta: int) -> Tree:
-    if delta < 3 or n < delta + 1:
-        raise BadParamsError(f"t_ndelta needs delta >= 3 and n >= delta+1, got n={n}, delta={delta}")
     tail = n - delta + 1               # handle length, hub at vertex 0
     edges = [(i, i + 1) for i in range(tail - 1)]
     edges += [(0, tail + i) for i in range(delta - 1)]
@@ -166,9 +206,6 @@ def _build_t_ndelta(n: int, delta: int) -> Tree:
 
 
 def _build_tprime_ndelta(n: int, delta: int) -> Tree:
-    if delta < 3 or n % 2 or n < 2 * delta - 2:
-        raise BadParamsError(
-            f"tprime_ndelta needs delta >= 3 and even n >= 2*delta-2, got n={n}, delta={delta}")
     base = n - 2 * delta + 3           # base path, hub at vertex 0
     edges = [(i, i + 1) for i in range(base - 1)]
     nxt = base
@@ -188,8 +225,6 @@ def _spider_legs(n: int, k: int) -> tuple[int, int, int, int]:
 
 
 def _build_spider(n: int, k: int) -> Tree:
-    if not (2 <= k <= n - 1):
-        raise BadParamsError(f"spider needs 2 <= k <= n-1, got n={n}, k={k}")
     lo, hi, i, j = _spider_legs(n, k)
     edges = []
     nxt = 1
@@ -203,39 +238,23 @@ def _build_spider(n: int, k: int) -> Tree:
 
 
 def _build_hat(n: int, d: int, k: int) -> Tree:
-    if not (2 <= d <= n - 1):
-        raise BadParamsError(f"hat needs 2 <= d <= n-1, got n={n}, d={d}")
-    if not (1 <= k <= d + 1):
-        raise BadParamsError(f"hat needs 1 <= k <= d+1, got k={k}, d={d}")
     edges = [(i, i + 1) for i in range(d)]
     edges += [(k - 1, d + 1 + i) for i in range(n - d - 1)]
     return Tree(n, edges)
 
 
+_BUILDERS = {
+    "path": _build_path, "star": _build_star, "a_nq": _build_a_nq,
+    "pk_ab": _build_pk_ab, "corona_path": _build_corona_path,
+    "t_ndelta": _build_t_ndelta, "tprime_ndelta": _build_tprime_ndelta,
+    "spider": _build_spider, "hat": _build_hat,
+}
+
+
 def construct(spec: FamilySpec) -> Tree:
     """Build the tree selected by the spec, validating its parameters."""
-    fam = spec.family
-    if fam == "path":
-        return _build_path(*_need(spec, "n"))
-    if fam == "star":
-        return _build_star(*_need(spec, "n"))
-    if fam == "a_nq":
-        return _build_a_nq(*_need(spec, "n", "q"))
-    if fam == "pk_ab":
-        return _build_pk_ab(*_need(spec, "k", "a", "b"))
-    if fam == "corona_path":
-        return _build_corona_path(_corona_base(spec))
-    if fam == "t_ndelta":
-        return _build_t_ndelta(*_need(spec, "n", "delta"))
-    if fam == "tprime_ndelta":
-        return _build_tprime_ndelta(*_need(spec, "n", "delta"))
-    if fam == "spider":
-        return _build_spider(*_need(spec, "n", "k"))
-    if fam == "hat":
-        n, d = _need(spec, "n", "d")
-        k = spec.k if spec.k is not None else d // 2 + 1
-        return _build_hat(n, d, k)
-    raise BadParamsError(f"unknown family {fam!r}")
+    params = _check_params(spec)
+    return _BUILDERS[spec.family](*params)
 
 
 def closed_form(spec: FamilySpec, which: str, binomial_term: str = "sum") -> ClosedForm:
@@ -250,16 +269,16 @@ def closed_form(spec: FamilySpec, which: str, binomial_term: str = "sum") -> Clo
     if binomial_term not in ("sum", "product"):
         raise ValueError(f"binomial_term must be 'sum' or 'product', got {binomial_term!r}")
     fam = spec.family
-    construct(spec)  # surface BadParams uniformly before formula dispatch
+    params = _check_params(spec)
 
     if fam == "path":
-        (n,) = _need(spec, "n")
+        (n,) = params
         if which == "F":
             return ClosedForm(spec, which, n * (n + 1) // 2, "basic")
         return ClosedForm(spec, which, 2 * n - 1, "L2star")
 
     if fam == "star":
-        (n,) = _need(spec, "n")
+        (n,) = params
         if which == "F":
             return ClosedForm(spec, which, 2 ** (n - 1) + n - 1, "basic")
         if n < 3:
@@ -267,7 +286,7 @@ def closed_form(spec: FamilySpec, which: str, binomial_term: str = "sum") -> Clo
         return ClosedForm(spec, which, 2 ** (n - 1) + n - 2, "L2star")
 
     if fam == "a_nq":
-        n, q = _need(spec, "n", "q")
+        n, q = params
         if which == "F":
             value = 2 ** (n - 2 * q + 1) * 3 ** (q - 1) + n + q - 2
         else:
@@ -278,7 +297,7 @@ def closed_form(spec: FamilySpec, which: str, binomial_term: str = "sum") -> Clo
         return ClosedForm(spec, which, value, "T4.1")
 
     if fam == "corona_path":
-        m = _corona_base(spec)
+        (m,) = params
         value = 2 ** (m + 2) - m - 4
         if which == "Fstar":
             if m < 2:
@@ -287,7 +306,7 @@ def closed_form(spec: FamilySpec, which: str, binomial_term: str = "sum") -> Clo
         return ClosedForm(spec, which, value, "T4.3")
 
     if fam == "pk_ab":
-        k, a, b = _need(spec, "k", "a", "b")
+        k, a, b = params
         if k != 4:
             raise NoFormulaError("closed forms only on record for k = 4")
         if a < 1 or b < 1:
@@ -299,14 +318,14 @@ def closed_form(spec: FamilySpec, which: str, binomial_term: str = "sum") -> Clo
         return ClosedForm(spec, which, value, "T4.4")
 
     if fam == "t_ndelta":
-        n, delta = _need(spec, "n", "delta")
+        n, delta = params
         value = (n - delta + 1) * 2 ** (delta - 1) + delta - 1
         if which == "F":
             value += comb(n - delta + 1, 2)
         return ClosedForm(spec, which, value, "T4.5")
 
     if fam == "tprime_ndelta":
-        n, delta = _need(spec, "n", "delta")
+        n, delta = params
         if which == "F":
             value = 2 * (n - 2 * delta + 3) * 3 ** (delta - 2) + 3 * delta - 5 \
                 + comb(n - 2 * delta + 3, 2)
@@ -319,7 +338,7 @@ def closed_form(spec: FamilySpec, which: str, binomial_term: str = "sum") -> Clo
         return ClosedForm(spec, which, value, "T4.6")
 
     if fam == "spider":
-        n, k = _need(spec, "n", "k")
+        n, k = params
         lo, hi, i, j = _spider_legs(n, k)
         if which == "F":
             value = (lo + 1) ** i * (hi + 1) ** j + i * comb(lo + 1, 2) + j * comb(hi + 1, 2)
@@ -328,8 +347,7 @@ def closed_form(spec: FamilySpec, which: str, binomial_term: str = "sum") -> Clo
         return ClosedForm(spec, which, value, "T4.7")
 
     if fam == "hat":
-        n, d = _need(spec, "n", "d")
-        k = spec.k if spec.k is not None else d // 2 + 1
+        n, d, k = params
         if k not in (d // 2 + 1, (d + 1) // 2 + 1):
             raise NoFormulaError("closed form only at the balanced attachment position")
         a = d // 2

@@ -4,9 +4,9 @@ profile of the structural invariants used to carve out tree classes."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .tree import Tree, centers, preorder
+from .tree import Tree, diameter_and_centers
 
 
 @dataclass(frozen=True)
@@ -31,14 +31,14 @@ class InvariantProfile:
         }
 
 
-def _matching(order: list[int], parent: list[int],
+def _matching(order: Sequence[int], parent: Sequence[int],
               free: list[bool]) -> list[tuple[int, int]]:
     """A maximum matching of the forest on the vertices marked free.
 
-    Leaves up (reverse preorder): a vertex still free takes its parent when
-    the parent is free too.  By then no child of it is free, so it is a
-    leaf of what remains, and some maximum matching pairs a leaf with its
-    neighbour.
+    Children first (``order`` lists parents first and is read backwards): a
+    vertex still free takes its parent when the parent is free too.  By then
+    no child of it is free, so it is a leaf of what remains, and some
+    maximum matching pairs a leaf with its neighbour.
     """
     pairs = []
     for v in reversed(order):
@@ -51,7 +51,7 @@ def _matching(order: list[int], parent: list[int],
 
 def matching_number(t: Tree) -> int:
     """Maximum number of pairwise nonincident edges."""
-    order, parent = preorder(t, 0)
+    order, parent = t.rooting
     return len(_matching(order, parent, [True] * t.n))
 
 
@@ -61,7 +61,7 @@ def maximum_matching(t: Tree) -> tuple[tuple[int, int], ...]:
     Greedy over sorted edges, keeping an edge whenever some maximum matching
     extends the current choice through it.
     """
-    order, parent = preorder(t, 0)
+    order, parent = t.rooting
     q = len(_matching(order, parent, [True] * t.n))
     chosen: list[tuple[int, int]] = []
     alive = [True] * t.n
@@ -84,7 +84,7 @@ def perfect_matching_edges(t: Tree) -> tuple[tuple[int, int], ...] | None:
     A tree has at most one perfect matching, so it is the maximum matching
     whenever that covers every vertex.
     """
-    order, parent = preorder(t, 0)
+    order, parent = t.rooting
     pairs = _matching(order, parent, [True] * t.n)
     return tuple(sorted(pairs)) if 2 * len(pairs) == t.n else None
 
@@ -93,15 +93,15 @@ def has_perfect_matching(t: Tree) -> bool:
     return perfect_matching_edges(t) is not None
 
 
-def _domination(t: Tree, order: list[int], parent: list[int],
+def _domination(t: Tree, order: Sequence[int], parent: Sequence[int],
                 forced: Iterable[int] = ()) -> int:
     """Minimum dominating set size, with the forced vertices required in-set.
 
     Cockayne-Goodman-Hedetniemi greedy after taking the forced vertices:
-    leaves up (reverse ``order``, a preorder of t), a vertex nobody
-    dominates yet puts its parent in the set (or itself, at the root).  All
-    below it is dominated by then, so the parent covers all that it or a
-    child could.
+    children first (``order`` lists parents first and is read backwards), a
+    vertex nobody dominates yet puts its parent in the set (or itself, at
+    the root).  All below it is dominated by then, so the parent covers all
+    that it or a child could.
     """
     taken = set(forced)
     for v in reversed(order):
@@ -112,13 +112,13 @@ def _domination(t: Tree, order: list[int], parent: list[int],
 
 def domination_number(t: Tree) -> int:
     """Minimum size of a set whose closed neighborhood covers every vertex."""
-    order, parent = preorder(t, 0)
+    order, parent = t.rooting
     return _domination(t, order, parent)
 
 
 def minimum_dominating_set(t: Tree) -> tuple[int, ...]:
     """One minimum dominating set, lexicographically smallest by sorted labels."""
-    order, parent = preorder(t, 0)
+    order, parent = t.rooting
     gamma = _domination(t, order, parent)
     chosen: list[int] = []
     for v in range(t.n):
@@ -129,45 +129,22 @@ def minimum_dominating_set(t: Tree) -> tuple[int, ...]:
     return tuple(chosen)
 
 
-def _diameter(order: list[int], parent: list[int]) -> int:
-    """The longest path tops out at some vertex, where it joins that
-    vertex's two highest child branches."""
-    height = [0] * len(order)
-    d = 0
-    for v in reversed(order):
-        p = parent[v]
-        if p >= 0:
-            h = height[v] + 1
-            if height[p] + h > d:
-                d = height[p] + h
-            if h > height[p]:
-                height[p] = h
-    return d
-
-
 def diameter(t: Tree) -> int:
-    """Maximum eccentricity, from one rooting."""
-    order, parent = preorder(t, 0)
-    return _diameter(order, parent)
-
-
-def _rooted_invariants(t: Tree) -> tuple[int, int, int]:
-    """Matching number, domination number and diameter from one rooting."""
-    order, parent = preorder(t, 0)
-    return (len(_matching(order, parent, [True] * t.n)),
-            _domination(t, order, parent), _diameter(order, parent))
+    """Maximum eccentricity, from the tree's rooting."""
+    return diameter_and_centers(t)[0]
 
 
 def invariant_profile(t: Tree) -> InvariantProfile:
-    # The rooting is freed before the leaf and center passes, so the profile
-    # holds no more memory at once than one invariant alone does.
-    q, gamma, d = _rooted_invariants(t)
+    order, parent = t.rooting
+    q = len(_matching(order, parent, [True] * t.n))
+    d, cs = diameter_and_centers(t)
+    degrees = list(map(len, t.adj))
     return InvariantProfile(
         matching=q,
-        domination=gamma,
+        domination=_domination(t, order, parent),
         diameter=d,
-        leaf_count=len(t.leaves()),
-        max_degree=max(len(a) for a in t.adj),
-        centers=centers(t),
+        leaf_count=degrees.count(1) + (t.n == 1),  # the lone vertex counts as a leaf
+        max_degree=max(degrees),
+        centers=cs,
         has_perfect_matching=(t.n % 2 == 0 and q == t.n // 2),
     )

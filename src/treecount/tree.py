@@ -1,5 +1,5 @@
 """Immutable labeled trees: construction, text formats, canonical forms,
-centers, and the leaf-to-leaf path decomposition.
+diameter and centers, and the leaf-to-leaf path decomposition.
 
 Vertices are always the integers ``0..n-1``.  Two text formats are supported:
 
@@ -48,20 +48,32 @@ class Tree:
     Construction validates the edge count, label range, connectivity and
     absence of self-loops/duplicate edges (acyclicity follows from the edge
     count once connectivity holds).
+
+    ``rooting = (order, parent)`` is the tree rooted at vertex 0: ``order``
+    lists every vertex with each parent before its children (breadth-first),
+    and ``parent[0] == -1``.  Every pass that needs children before their
+    parent (reversed ``order``) or parents first reads it instead of
+    rooting the tree again.
     """
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "edges", "adj", "rooting")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise NotATreeError("a tree has at least one vertex")
         norm = []
-        for u, v in edges:
+        for e in edges:
+            u, v = e
             if not (0 <= u < n and 0 <= v < n):
                 raise LabelOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
             if u == v:
                 raise NotATreeError(f"self-loop at vertex {u}")
-            norm.append((u, v) if u < v else (v, u))
+            # an exact tuple already in order is kept, not copied
+            if u > v:
+                e = (v, u)
+            elif type(e) is not tuple:
+                e = (u, v)
+            norm.append(e)
         if len(norm) != n - 1:
             raise NotATreeError(f"{len(norm)} edges for {n} vertices, expected {n - 1}")
         norm.sort()
@@ -74,20 +86,22 @@ class Tree:
         for u, v in norm:
             adj[u].append(v)
             adj[v].append(u)
-        # connected + n-1 edges => acyclic; the search list grows as it is read
-        seen = bytearray(n)
-        seen[0] = 1
-        reached = [0]
-        for v in reached:
+        # connected + n-1 edges => acyclic.  The breadth-first search that
+        # checks it is kept as the rooting at 0; its list grows as it is read.
+        parent = [-2] * n
+        parent[0] = -1
+        order = [0]
+        for v in order:
             for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = 1
-                    reached.append(w)
-        if len(reached) != n:
+                if parent[w] == -2:
+                    parent[w] = v
+                    order.append(w)
+        if len(order) != n:
             raise NotATreeError("graph is not connected")
         self.n = n
         self.edges = tuple(norm)
         self.adj = tuple(map(tuple, adj))
+        self.rooting = (tuple(order), tuple(parent))
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -161,27 +175,39 @@ def preorder(t: Tree, root: int) -> tuple[list[int], list[int]]:
     return order, parent
 
 
+def diameter_and_centers(t: Tree) -> tuple[int, tuple[int, ...]]:
+    """The diameter d and the one or two centers (sorted), from t's rooting.
+
+    A longest path tops out where it joins a vertex's two highest child
+    branches.  The centers are its middle (Jordan 1869), and they lie on
+    the root's highest branch: the deepest vertex a below the root ends a
+    longest path a..b, and a vertex of a..b off the root-a path is at least
+    two steps farther from a than from b, so it is not the middle.  The walk
+    down highest children from the root meets the centers ceil(d/2) and
+    floor(d/2) above a.
+    """
+    order, parent = t.rooting
+    height = [0] * t.n
+    top = [0] * t.n  # the highest child, where height > 0
+    d = 0
+    for v in reversed(order):
+        p = parent[v]
+        if p >= 0:
+            h = height[v] + 1
+            if height[p] + h > d:
+                d = height[p] + h
+            if h > height[p]:
+                height[p] = h
+                top[p] = v
+    c = order[0]
+    for _ in range(height[c] - (d + 1) // 2):
+        c = top[c]
+    return d, ((c,) if d % 2 == 0 else tuple(sorted((c, top[c]))))
+
+
 def centers(t: Tree) -> tuple[int, ...]:
     """The one or two vertices of minimum eccentricity, sorted."""
-    if t.n <= 2:
-        return tuple(range(t.n))
-    deg = [len(a) for a in t.adj]
-    layer = [v for v in range(t.n) if deg[v] == 1]
-    removed = bytearray(t.n)
-    remaining = t.n
-    while remaining > 2:
-        nxt = []
-        for v in layer:
-            removed[v] = 1
-        remaining -= len(layer)
-        for v in layer:
-            for w in t.adj[v]:
-                if not removed[w]:
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    return tuple(sorted(layer))
+    return diameter_and_centers(t)[1]
 
 
 def _rooted_level_seq(t: Tree, root: int) -> tuple[int, ...]:

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from conftest import make_path, make_star
+from conftest import (LARGE_SHAPES, dfs_rooted, large_shape, make_path, make_star,
+                      rooting_trees)
 from treecount.counting import (anchored_counts, count_leaf_subtrees,
                                 count_leaf_subtrees_at, count_report, count_subtrees,
                                 count_subtrees_at, count_subtrees_at_pair,
@@ -123,6 +124,27 @@ class TestOneRooting:
             F = count_subtrees(t)
             stem = count_subtrees(strip_leaves(t)[0]) if t.n > 2 else 0
             assert subtree_totals(t) == (F, count_leaf_subtrees(t)) == (F, F - stem)
+
+
+def _rooted_counts(t: Tree) -> tuple:
+    return (subtree_totals(t), count_subtrees(t), count_leaf_subtrees(t), wiener_index(t))
+
+
+class TestStoredRooting:
+    """Each count that reads the tree's breadth-first rooting against the same
+    code fed the depth-first ``preorder(t, 0)``."""
+
+    def test_small_and_random(self):
+        for t in rooting_trees():
+            d = dfs_rooted(t)
+            assert _rooted_counts(t) == _rooted_counts(d)
+            assert anchored_counts(t) == anchored_counts(d)
+
+    @pytest.mark.parametrize("shape", LARGE_SHAPES)
+    def test_large_shapes(self, shape):
+        # no anchored counts here: on the star they hold Θ(n²) bits
+        t = large_shape(shape)
+        assert _rooted_counts(t) == _rooted_counts(dfs_rooted(t))
 
 
 class TestWiener:

@@ -1,8 +1,9 @@
 import pytest
 
 from conftest import make_path, make_star
+from treecount import families
 from treecount.counting import count_leaf_subtrees, count_subtrees
-from treecount.families import (BadParamsError, FamilySpec, NoFormulaError,
+from treecount.families import (FAMILIES, BadParamsError, FamilySpec, NoFormulaError,
                                 closed_form, construct)
 from treecount.invariants import has_perfect_matching
 from treecount.tree import is_isomorphic
@@ -51,17 +52,67 @@ class TestConstruct:
         assert is_isomorphic(hat, make_star(5))
 
     def test_bad_params(self):
-        for spec in (FamilySpec("a_nq", n=5, q=3),
-                     FamilySpec("t_ndelta", n=4, delta=2),
-                     FamilySpec("tprime_ndelta", n=9, delta=3),
-                     FamilySpec("spider", n=4, k=4),
-                     FamilySpec("hat", n=4, d=4),
-                     FamilySpec("path", n=0),
-                     FamilySpec("nosuch", n=3)):
+        for spec in INVALID_SPECS:
             with pytest.raises(BadParamsError):
                 construct(spec)
-        with pytest.raises(BadParamsError):
-            construct(FamilySpec("a_nq", n=6))  # missing q
+
+
+INVALID_SPECS = (
+    FamilySpec("a_nq", n=5, q=3),
+    FamilySpec("a_nq", n=6),  # missing q
+    FamilySpec("t_ndelta", n=4, delta=2),
+    FamilySpec("tprime_ndelta", n=9, delta=3),
+    FamilySpec("spider", n=4, k=4),
+    FamilySpec("hat", n=4, d=4),
+    FamilySpec("hat", n=10, d=4, k=6),
+    FamilySpec("path", n=0),
+    FamilySpec("star", n=0),
+    FamilySpec("pk_ab", k=4, a=-1, b=1),
+    FamilySpec("corona_path", n=7),
+    FamilySpec("corona_path", m=0),
+    FamilySpec("corona_path"),
+    FamilySpec("nosuch", n=3),
+)
+
+# one member of each family, with the quantities that have a closed form
+VALID_SPECS = (
+    (FamilySpec("path", n=9), ("F", "Fstar")),
+    (FamilySpec("star", n=9), ("F", "Fstar")),
+    (FamilySpec("a_nq", n=11, q=3), ("F", "Fstar")),
+    (FamilySpec("pk_ab", k=4, a=2, b=3), ("F", "Fstar")),
+    (FamilySpec("corona_path", n=12), ("F", "Fstar")),
+    (FamilySpec("t_ndelta", n=12, delta=5), ("F", "Fstar")),
+    (FamilySpec("tprime_ndelta", n=12, delta=4), ("F", "Fstar")),
+    (FamilySpec("spider", n=12, k=4), ("F", "Fstar")),
+    (FamilySpec("hat", n=12, d=5), ("F", "Fstar")),
+)
+
+
+class TestParamChecks:
+    """One parameter check serves both the builder and the closed forms."""
+
+    @pytest.mark.parametrize("spec", INVALID_SPECS, ids=repr)
+    def test_same_error_from_both(self, spec):
+        with pytest.raises(BadParamsError) as built:
+            construct(spec)
+        for which in ("F", "Fstar"):
+            with pytest.raises(BadParamsError) as formula:
+                closed_form(spec, which)
+            assert str(formula.value) == str(built.value)
+
+    def test_every_family_covered(self):
+        assert sorted(spec.family for spec, _ in VALID_SPECS) == sorted(FAMILIES)
+
+    def test_closed_form_builds_no_tree(self, monkeypatch):
+        expected = {(spec, q): dp_value(construct(spec), q)
+                    for spec, quantities in VALID_SPECS for q in quantities}
+
+        def no_tree(*args):
+            raise AssertionError("closed_form built a tree")
+
+        monkeypatch.setattr(families, "Tree", no_tree)
+        for (spec, q), value in expected.items():
+            assert closed_form(spec, q).value == value, (spec, q)
 
 
 class TestClosedForms:

@@ -1,10 +1,9 @@
-import random
-
 import pytest
 
 from bruteforce import (brute_domination, brute_matching,
                         brute_maximum_matchings, brute_optimal_dominating_sets)
-from conftest import make_path, make_star, relabeled
+from conftest import (LARGE_SHAPES, dfs_rooted, large_shape, make_path, make_star,
+                      relabeled, rooting_trees)
 from treecount.enumeration import all_trees, random_labeled_tree
 from treecount.families import FamilySpec, construct
 from treecount.invariants import (InvariantProfile, diameter, domination_number,
@@ -146,13 +145,33 @@ class TestProfileFromOneRooting:
             for t in all_trees(n):
                 assert invariant_profile(t) == _separate_profile(t)
 
-    @pytest.mark.parametrize("shape", ["random", "path", "star", "broom"])
+    @pytest.mark.parametrize("shape", LARGE_SHAPES)
     def test_large_shapes(self, shape):
-        n = 100_000
-        t = {"random": lambda: random_labeled_tree(n, random.Random(n)),
-             "path": lambda: make_path(n), "star": lambda: make_star(n),
-             "broom": lambda: construct(FamilySpec("t_ndelta", n=n, delta=n // 2))}[shape]()
+        t = large_shape(shape)
         assert invariant_profile(t) == _separate_profile(t)
+
+
+def _rooted_invariants(t: Tree) -> tuple:
+    return (matching_number(t), perfect_matching_edges(t), domination_number(t),
+            diameter(t), centers(t), invariant_profile(t))
+
+
+class TestStoredRooting:
+    """Each invariant that reads the tree's breadth-first rooting against the
+    same code fed the depth-first ``preorder(t, 0)``."""
+
+    def test_small_and_random(self):
+        for t in rooting_trees():
+            d = dfs_rooted(t)
+            assert _rooted_invariants(t) == _rooted_invariants(d)
+            if t.n <= 300:  # the two witness searches are quadratic
+                assert maximum_matching(t) == maximum_matching(d)
+                assert minimum_dominating_set(t) == minimum_dominating_set(d)
+
+    @pytest.mark.parametrize("shape", LARGE_SHAPES)
+    def test_large_shapes(self, shape):
+        t = large_shape(shape)
+        assert _rooted_invariants(t) == _rooted_invariants(dfs_rooted(t))
 
 
 class TestLargeTrees:

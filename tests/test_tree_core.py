@@ -1,16 +1,18 @@
 import math
 import random
+from typing import NamedTuple
 
 import pytest
 
-from conftest import make_path, make_star, relabeled
+from conftest import LARGE_SHAPES, large_shape, make_path, make_star, relabeled
 from treecount.enumeration import all_trees, random_labeled_tree
 from treecount.families import FamilySpec, construct
 from treecount.tree import (DegenerateTreeError, LabelOutOfRangeError,
                             MalformedInputError, NotALeafError, NotATreeError,
                             TooCloseError, Tree, canonical_form, centers,
-                            is_isomorphic, parse_tree, path_between,
-                            path_decomposition, serialize_tree, strip_leaves)
+                            diameter_and_centers, is_isomorphic, parse_tree,
+                            path_between, path_decomposition, serialize_tree,
+                            strip_leaves)
 
 
 class TestParse:
@@ -48,19 +50,30 @@ class TestParse:
             parse_tree("3\n0 1\n1 5")
 
 
+class Edge(NamedTuple):
+    u: int
+    v: int
+
+
 class TestConstruction:
     def test_edge_order_and_orientation_do_not_matter(self):
+        # edges as tuples, lists or named tuples are stored as plain tuples
         rng = random.Random(14)
         for _ in range(300):
             t = random_labeled_tree(rng.randint(1, 60), rng)
             edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in t.edges]
             rng.shuffle(edges)
-            s = Tree(t.n, edges)
-            assert s.edges == t.edges == tuple(sorted(t.edges))
-            assert s.adj == t.adj
+            for given in (edges, [list(e) for e in edges], [Edge(*e) for e in edges]):
+                s = Tree(t.n, given)
+                assert s.edges == t.edges == tuple(sorted(t.edges))
+                assert all(type(e) is tuple for e in s.edges)
+                assert s.adj == t.adj
             assert s.adj == tuple(tuple(sorted(w for e in t.edges for w in e
                                                if v in e and w != v))
                                   for v in range(t.n))
+        # an exact tuple in order is stored as given, not copied
+        edges = [(0, 1), (1, 2)]
+        assert all(a is b for a, b in zip(Tree(3, edges).edges, edges))
 
     # (n, edges, exception, message): checks run in this order, so an input
     # with several faults reports the first
@@ -84,6 +97,39 @@ class TestConstruction:
         with pytest.raises(exc) as info:
             Tree(n, edges)
         assert type(info.value) is exc and str(info.value) == message
+
+
+def _check_rooting(t: Tree) -> None:
+    """t.rooting is a rooting at 0: a permutation with each vertex after its
+    parent, which is a neighbour."""
+    order, parent = t.rooting
+    assert type(order) is tuple and type(parent) is tuple
+    assert sorted(order) == list(range(t.n)) and len(parent) == t.n
+    assert order[0] == 0 and parent[0] == -1
+    position = {v: i for i, v in enumerate(order)}
+    for v in order[1:]:
+        assert parent[v] in t.adj[v]
+        assert position[parent[v]] < position[v]
+
+
+class TestRooting:
+    def test_every_small_tree(self):
+        rng = random.Random(16)
+        for n in range(1, 11):
+            for t in all_trees(n):
+                t = relabeled(t, rng)
+                edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in t.edges]
+                rng.shuffle(edges)
+                s = Tree(n, edges)
+                _check_rooting(s)
+                assert s.rooting == t.rooting
+
+    def test_random_and_large(self):
+        rng = random.Random(17)
+        for _ in range(100):
+            _check_rooting(random_labeled_tree(rng.randint(1, 2000), rng))
+        for shape in LARGE_SHAPES:
+            _check_rooting(large_shape(shape))
 
 
 class TestSerialize:
@@ -136,30 +182,34 @@ class TestCenters:
         assert centers(make_star(5)) == (0,)
 
     def test_center_eccentricity(self):
-        # every center vertex has eccentricity ceil(diam / 2)
-        for n in range(1, 10):
-            for t in all_trees(n):
-                ecc = []
-                for src in range(t.n):
-                    dist = {src: 0}
-                    frontier = [src]
-                    while frontier:
-                        nxt = []
-                        for v in frontier:
-                            for w in t.adj[v]:
-                                if w not in dist:
-                                    dist[w] = dist[v] + 1
-                                    nxt.append(w)
-                        frontier = nxt
-                    ecc.append(max(dist.values()))
-                diam = max(ecc)
-                cs = centers(t)
-                assert set(cs) == {v for v in range(t.n) if ecc[v] == min(ecc)}
-                assert len(cs) in (1, 2)
-                if len(cs) == 2:
-                    assert tuple(sorted(cs)) in t.edges or cs in t.edges
-                for c in cs:
-                    assert ecc[c] == math.ceil(diam / 2)
+        # the centers are the vertices of least eccentricity, ceil(diam / 2),
+        # from a breadth-first search at every vertex
+        rng = random.Random(18)
+        trees = [relabeled(t, rng) for n in range(1, 13) for t in all_trees(n)]
+        trees += [random_labeled_tree(rng.randint(2, 300), rng) for _ in range(100)]
+        for t in trees:
+            ecc = []
+            for src in range(t.n):
+                dist = {src: 0}
+                frontier = [src]
+                while frontier:
+                    nxt = []
+                    for v in frontier:
+                        for w in t.adj[v]:
+                            if w not in dist:
+                                dist[w] = dist[v] + 1
+                                nxt.append(w)
+                    frontier = nxt
+                ecc.append(max(dist.values()))
+            diam = max(ecc)
+            cs = centers(t)
+            assert diameter_and_centers(t) == (diam, cs)
+            assert cs == tuple(v for v in range(t.n) if ecc[v] == min(ecc))
+            assert len(cs) == 1 + diam % 2
+            if len(cs) == 2:
+                assert cs in t.edges
+            for c in cs:
+                assert ecc[c] == math.ceil(diam / 2)
 
 
 class TestStripLeaves:
