@@ -9,8 +9,8 @@ from .counting import (CountReport, anchored_counts, count_leaf_subtrees,
                        count_leaf_subtrees_at, count_report, count_subtrees,
                        count_subtrees_at, count_subtrees_at_pair, subtree_totals,
                        wiener_index)
-from .enumeration import (TreeConstraint, all_trees, all_trees_sharded,
-                          random_labeled_tree, tree_from_prufer, trees_matching)
+from .enumeration import (TreeConstraint, all_trees, random_labeled_tree,
+                          tree_from_prufer, trees_matching)
 from .families import ClosedForm, FamilySpec, closed_form, construct
 from .invariants import (InvariantProfile, domination_number, has_perfect_matching,
                          invariant_profile, matching_number, maximum_matching,
@@ -29,9 +29,8 @@ __all__ = [
     "CanonicalForm", "ClosedForm", "CountReport", "FamilySpec",
     "InvariantProfile", "LEMMA_TAGS", "PathDecomposition", "RootedComponent",
     "THEOREM_TAGS", "TransformSpec", "Tree", "TreeConstraint",
-    "VerificationResult", "a_transform", "all_trees", "all_trees_sharded",
-    "anchored_counts", "apply_transform", "b_transform", "c_anchors",
-    "c_transform", "canonical_form",
+    "VerificationResult", "a_transform", "all_trees", "anchored_counts",
+    "apply_transform", "b_transform", "c_anchors", "c_transform", "canonical_form",
     "centers", "closed_form", "construct", "count_leaf_subtrees",
     "count_leaf_subtrees_at", "count_report", "count_subtrees",
     "count_subtrees_at", "count_subtrees_at_pair", "domination_number",

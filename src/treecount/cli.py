@@ -16,7 +16,7 @@ import sys
 
 from . import __version__
 from .counting import count_report, subtree_totals
-from .enumeration import MAX_ORDER, TreeConstraint, map_shards, trees_matching
+from .enumeration import TreeConstraint, all_level_sequences, map_shards
 from .families import FAMILIES, FORMULA_DISPLAY, FamilySpec, closed_form, construct
 from .invariants import invariant_profile
 from .transforms import TransformSpec, apply_transform
@@ -81,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--csv", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--max-order", type=int, default=MAX_ORDER)
 
     p = sub.add_parser("verify", help="check a theorem exhaustively or run a lemma suite")
     p.add_argument("--theorem", choices=THEOREM_TAGS)
@@ -163,9 +162,8 @@ def _cmd_transform(args) -> int:
 
 
 def _admitted(constraint: TreeConstraint, seqs) -> list:
-    """(index within the shard, tree) for each tree the constraint admits."""
-    trees = enumerate(map(tree_from_level_sequence, seqs))
-    return [(i, t) for i, t in trees if constraint.admits(t)]
+    """(index within the shard, level sequence) for each tree the constraint admits."""
+    return list(constraint.select(seqs))
 
 
 def _cmd_enumerate(args) -> int:
@@ -174,21 +172,22 @@ def _cmd_enumerate(args) -> int:
         leaves=args.leaves, min_max_degree=args.min_max_degree,
         perfect_matching=args.perfect_matching)
     if args.jobs == 1:
-        stream = trees_matching(args.n, constraint, max_order=args.max_order)
+        seqs = (seq for _, seq in constraint.select(all_level_sequences(args.n)))
     else:
-        parts, = map_shards(_admitted, constraint, [args.n], args.jobs, args.max_order)
-        # tree i of shard s comes at position i * jobs + s of the sequential stream
-        stream = [t for _, _, t in sorted((i, s, t) for s, part in enumerate(parts)
-                                          for i, t in part)]
+        parts, = map_shards(_admitted, constraint, [args.n], args.jobs)
+        # sequence i of shard s comes at position i * jobs + s of the sequential stream
+        seqs = [seq for _, _, seq in sorted((i, s, seq) for s, part in enumerate(parts)
+                                            for i, seq in part)]
     if args.count_only:
-        print(sum(1 for _ in stream))
+        print(sum(1 for _ in seqs))
         return 0
+    trees = map(tree_from_level_sequence, seqs)
     if args.csv:
-        rows = [[args.n, " ".join(f"{u}-{v}" for u, v in t.edges)] for t in stream]
+        rows = [[args.n, " ".join(f"{u}-{v}" for u, v in t.edges)] for t in trees]
         print(_csv_text(["n", "edges"], rows), end="")
         return 0
     first = True
-    for t in stream:
+    for t in trees:
         if not first:
             print()
         print(serialize_tree(t), end="")

@@ -19,9 +19,8 @@ import os
 import random
 from dataclasses import dataclass
 from operator import add
-from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
-from . import invariants
 from .tree import Tree, tree_from_level_sequence
 
 MAX_ORDER = 24
@@ -91,10 +90,10 @@ def _next_free(candidate: list[int]) -> list[int] | None:
     return nxt
 
 
-def all_level_sequences(n: int, max_order: int = MAX_ORDER) -> Iterator[tuple[int, ...]]:
+def all_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """Canonical level sequences of all non-isomorphic trees on n vertices."""
-    if n < 1 or n > max_order:
-        raise TooLargeError(f"order {n} outside 1..{max_order}")
+    if n < 1 or n > MAX_ORDER:
+        raise TooLargeError(f"order {n} outside 1..{MAX_ORDER}")
     if n == 1:
         yield (0,)
         return
@@ -107,9 +106,9 @@ def all_level_sequences(n: int, max_order: int = MAX_ORDER) -> Iterator[tuple[in
         layout = _next_rooted(layout)
 
 
-def all_trees(n: int, max_order: int = MAX_ORDER) -> Iterator[Tree]:
+def all_trees(n: int) -> Iterator[Tree]:
     """One Tree per isomorphism class on n vertices, in a deterministic order."""
-    for seq in all_level_sequences(n, max_order):
+    for seq in all_level_sequences(n):
         yield tree_from_level_sequence(seq)
 
 
@@ -188,26 +187,15 @@ def tree_record(seq: Sequence[int]) -> TreeRecord:
                       max(max(kids[1:], default=-1) + 1, kids[0]))
 
 
-def _sharded_sequences(n: int, shard: int, jobs: int,
-                       max_order: int = MAX_ORDER) -> Iterator[tuple[int, ...]]:
+def _sharded_sequences(n: int, shard: int, jobs: int) -> Iterator[tuple[int, ...]]:
     """The level sequences with emission index = shard mod jobs."""
-    if not (jobs >= 1 and 0 <= shard < jobs):
-        raise ValueError(f"bad shard {shard}/{jobs}")
-    for i, seq in enumerate(all_level_sequences(n, max_order)):
+    for i, seq in enumerate(all_level_sequences(n)):
         if i % jobs == shard:
             yield seq
 
 
-def all_trees_sharded(n: int, shard: int, jobs: int,
-                      max_order: int = MAX_ORDER) -> Iterator[Tree]:
-    """Round-robin shard of all_trees: the trees with emission index = shard mod jobs."""
-    for seq in _sharded_sequences(n, shard, jobs, max_order):
-        yield tree_from_level_sequence(seq)
-
-
 def map_shards(fn: Callable[[object, Iterator[tuple[int, ...]]], _R], arg: object,
-               orders: Sequence[int], jobs: int,
-               max_order: int = MAX_ORDER) -> list[list[_R]]:
+               orders: Sequence[int], jobs: int) -> list[list[_R]]:
     """``[[fn(arg, shard s of order n's level sequences) for s in range(jobs)]
     for n in orders]``.
 
@@ -221,9 +209,9 @@ def map_shards(fn: Callable[[object, Iterator[tuple[int, ...]]], _R], arg: objec
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     for n in orders:
-        if n < 1 or n > max_order:
-            raise TooLargeError(f"order {n} outside 1..{max_order}")
-    tasks = [(fn, arg, n, shard, jobs, max_order)
+        if n < 1 or n > MAX_ORDER:
+            raise TooLargeError(f"order {n} outside 1..{MAX_ORDER}")
+    tasks = [(fn, arg, n, shard, jobs)
              for n in sorted(orders, reverse=True) for shard in range(jobs)]
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1:
@@ -232,14 +220,14 @@ def map_shards(fn: Callable[[object, Iterator[tuple[int, ...]]], _R], arg: objec
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             results = pool.map(_run_shard, tasks, chunksize=1)
     by_order = {}
-    for (_, _, n, _, _, _), result in zip(tasks, results):
+    for (_, _, n, _, _), result in zip(tasks, results):
         by_order.setdefault(n, []).append(result)
     return [by_order[n] for n in orders]
 
 
 def _run_shard(task: tuple) -> object:
-    fn, arg, n, shard, jobs, max_order = task
-    return fn(arg, _sharded_sequences(n, shard, jobs, max_order))
+    fn, arg, n, shard, jobs = task
+    return fn(arg, _sharded_sequences(n, shard, jobs))
 
 
 @dataclass(frozen=True)
@@ -253,30 +241,29 @@ class TreeConstraint:
     min_max_degree: int | None = None
     perfect_matching: bool | None = None
 
-    def admits(self, t: Tree) -> bool:
-        if self.leaves is not None and len(t.leaves()) != self.leaves:
-            return False
-        if self.min_max_degree is not None:
-            if max(len(a) for a in t.adj) < self.min_max_degree:
-                return False
-        if self.diameter is not None and invariants.diameter(t) != self.diameter:
-            return False
-        if self.matching is not None and invariants.matching_number(t) != self.matching:
-            return False
-        if self.domination is not None and invariants.domination_number(t) != self.domination:
-            return False
-        if self.perfect_matching is not None:
-            if invariants.has_perfect_matching(t) != self.perfect_matching:
-                return False
-        return True
+    def admits(self, rec: TreeRecord) -> bool:
+        """Whether the tree with this record meets every set field."""
+        return ((self.matching is None or rec.matching == self.matching)
+                and (self.domination is None or rec.domination == self.domination)
+                and (self.diameter is None or rec.diameter == self.diameter)
+                and (self.leaves is None or rec.leaves == self.leaves)
+                and (self.min_max_degree is None or rec.max_degree >= self.min_max_degree)
+                and (self.perfect_matching is None
+                     or (2 * rec.matching == rec.n) == self.perfect_matching))
+
+    def select(self, seqs: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, tuple[int, ...]]]:
+        """(index in seqs, sequence) for each level sequence whose tree the
+        constraint admits, read off its tree_record; with no field set, every
+        sequence and no record."""
+        if self == TreeConstraint():
+            return enumerate(seqs)
+        return ((i, seq) for i, seq in enumerate(seqs) if self.admits(tree_record(seq)))
 
 
-def trees_matching(n: int, constraint: TreeConstraint,
-                   max_order: int = MAX_ORDER) -> Iterator[Tree]:
+def trees_matching(n: int, constraint: TreeConstraint) -> Iterator[Tree]:
     """All non-isomorphic trees on n vertices satisfying the constraint."""
-    for t in all_trees(n, max_order):
-        if constraint.admits(t):
-            yield t
+    for _, seq in constraint.select(all_level_sequences(n)):
+        yield tree_from_level_sequence(seq)
 
 
 def tree_from_prufer(seq: Sequence[int]) -> Tree:

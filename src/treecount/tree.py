@@ -357,6 +357,8 @@ def path_decomposition(t: Tree, x: int, y: int) -> PathDecomposition:
     from both ends inward, with the middle one separated out when the
     distance is even.
     """
+    if not (0 <= x < t.n and 0 <= y < t.n):
+        raise LabelOutOfRangeError(f"vertex out of range: {x}, {y}")
     if not t.is_leaf(x) or not t.is_leaf(y):
         raise NotALeafError("both endpoints must be leaves")
     path = path_between(t, x, y)

@@ -137,10 +137,26 @@ class TestEnumerate:
         assert lines[0] == "n,edges" and len(lines) == 3
 
     def test_jobs_do_not_change_output(self, capsys):
-        _, out1, _ = run_cli(capsys, "enumerate", "--n", "10", "--matching", "3")
-        code, out2, _ = run_cli(capsys, "enumerate", "--n", "10", "--matching", "3",
-                                "--jobs", "2")
-        assert code == 0 and out1 and out1 == out2
+        flags = ([], ["--matching", "3"], ["--domination", "3"], ["--diameter", "4"],
+                 ["--leaves", "4"], ["--min-max-degree", "4"], ["--perfect-matching"])
+        for flag in flags:
+            outs = {}
+            for mode in ([], ["--count-only"], ["--csv"]):
+                for jobs in ("1", "2", "3"):
+                    code, out, err = run_cli(capsys, "enumerate", "--n", "11", *flag,
+                                             *mode, "--jobs", jobs)
+                    assert code == 0 and err == ""
+                    outs.setdefault(tuple(mode), set()).add(out)
+            assert all(len(o) == 1 for o in outs.values()), flag
+            (blocks,), (count,), (rows,) = outs.values()
+            # n = 11 is odd, so only the perfect-matching class is empty
+            assert int(count) == blocks.count("11\n") == len(rows.splitlines()) - 1
+            assert (int(count) == 0) == (flag == ["--perfect-matching"])
+
+    def test_order_cap_is_fixed(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--n", "25", "--max-order", "30"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, capsys, jobs):

@@ -5,11 +5,12 @@ import pytest
 from bruteforce import class_count_by_formula, prufer_class_count
 from conftest import make_path, make_star
 from treecount.enumeration import (MAX_ORDER, TooLargeError, TreeConstraint,
-                                   all_level_sequences, all_trees,
-                                   all_trees_sharded, random_labeled_tree,
-                                   tree_from_prufer, trees_matching)
+                                   all_level_sequences, all_trees, map_shards,
+                                   random_labeled_tree, tree_from_prufer,
+                                   trees_matching)
 from treecount.families import FamilySpec, construct
-from treecount.invariants import matching_number
+from treecount.invariants import (diameter, domination_number, has_perfect_matching,
+                                  matching_number)
 from treecount.tree import canonical_form, is_isomorphic
 
 
@@ -51,23 +52,30 @@ class TestGenerator:
             list(all_trees(MAX_ORDER + 1))
         with pytest.raises(TooLargeError):
             list(all_trees(0))
-        assert sum(1 for _ in all_trees(18, max_order=18)) > 0
+        assert next(all_level_sequences(MAX_ORDER))
+
+
+def _listed(_, seqs):
+    return list(seqs)
 
 
 class TestSharding:
     def test_partition_is_exact(self):
-        for n in range(2, 15):
-            whole = [canonical_form(t) for t in all_trees(n)]
-            for jobs in (1, 2, 4, 8):
-                merged = []
-                for shard in range(jobs):
-                    merged.extend(canonical_form(t)
-                                  for t in all_trees_sharded(n, shard, jobs))
-                assert sorted(merged) == sorted(whole)
+        # sequence i of shard s is sequence i * jobs + s of the whole order
+        orders = range(1, 15)
+        for jobs in (1, 2, 3, 4, 8):
+            for n, parts in zip(orders, map_shards(_listed, None, orders, jobs)):
+                assert len(parts) == jobs
+                merged = [None] * sum(map(len, parts))
+                for s, part in enumerate(parts):
+                    for i, seq in enumerate(part):
+                        merged[i * jobs + s] = seq
+                assert merged == list(all_level_sequences(n)), (n, jobs)
 
     def test_bad_shard(self):
-        with pytest.raises(ValueError):
-            list(all_trees_sharded(5, 3, 2))
+        for jobs in (0, -1):
+            with pytest.raises(ValueError):
+                map_shards(_listed, None, [5], jobs)
 
 
 class TestConstraints:
@@ -98,6 +106,48 @@ class TestConstraints:
         assert members
         assert all(matching_number(t) == 4 for t in members)
         assert all(max(t.degree(v) for v in range(8)) >= 3 for t in members)
+
+
+def reference_fields(t):
+    """The constrained fields of t from the Tree-based routes."""
+    return {"matching": matching_number(t), "domination": domination_number(t),
+            "diameter": diameter(t), "leaves": len(t.leaves()),
+            "min_max_degree": max(t.degree(v) for v in range(t.n)),
+            "perfect_matching": has_perfect_matching(t)}
+
+
+def reference_admits(fields, constraint):
+    for name, want in vars(constraint).items():
+        if want is None:
+            continue
+        have = fields[name]
+        if not (have >= want if name == "min_max_degree" else have == want):
+            return False
+    return True
+
+
+class TestRecordFilter:
+    """trees_matching filters on tree_record; the Tree-based invariants are
+    its reference, on every tree with n <= 12."""
+
+    def test_every_field_and_value(self):
+        for n in range(1, 13):
+            trees = list(all_trees(n))
+            fields = [reference_fields(t) for t in trees]
+            constraints = [TreeConstraint(), TreeConstraint(perfect_matching=True),
+                           TreeConstraint(perfect_matching=False)]
+            for name in ("matching", "domination", "diameter", "leaves", "min_max_degree"):
+                seen = {f[name] for f in fields}
+                for value in sorted(seen | {0, max(seen) + 1}):
+                    constraints.append(TreeConstraint(**{name: value}))
+            for degree in sorted({f["min_max_degree"] for f in fields}):
+                constraints.append(TreeConstraint(perfect_matching=True, min_max_degree=degree))
+            for q in sorted({f["matching"] for f in fields}):
+                for k in sorted({f["leaves"] for f in fields}):
+                    constraints.append(TreeConstraint(matching=q, leaves=k))
+            for c in constraints:
+                want = [t for t, f in zip(trees, fields) if reference_admits(f, c)]
+                assert list(trees_matching(n, c)) == want, (n, c)
 
 
 class TestPrufer:

@@ -242,6 +242,12 @@ class TestPaths:
         assert path_between(make_path(4), 2, 2) == (2,)
         assert path_between(make_star(4), 1, 3) == (1, 0, 3)
 
+    def test_decomposition_endpoint_out_of_range(self):
+        t = make_path(5)
+        for x, y in ((5, 0), (0, 5), (-1, 0)):
+            with pytest.raises(LabelOutOfRangeError):
+                path_decomposition(t, x, y)
+
     def test_decomposition_p5(self):
         dec = path_decomposition(make_path(5), 0, 4)
         assert dec.path == (0, 1, 2, 3, 4)

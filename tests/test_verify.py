@@ -3,7 +3,7 @@ import json
 import jsonschema
 import pytest
 
-from treecount import counting, verify
+from treecount import counting, invariants, verify
 from treecount.families import FamilySpec, construct
 from treecount.schemas import VERIFICATION_SCHEMA
 from treecount.tree import Tree, canonical_form, serialize_tree
@@ -256,11 +256,20 @@ def test_path_comparison_hypothesis_check_is_not_an_assert(monkeypatch):
 class TestClassSizes:
     def test_sizes_match_constraint_stream(self):
         # the exhaustiveness contract: reported class sizes equal what the
-        # constrained enumeration counts independently
-        from treecount.enumeration import TreeConstraint, trees_matching
+        # Tree-based invariants count over every tree, independently of the
+        # tree_record the scan reads
+        from treecount.enumeration import all_trees
 
-        def stream_count(n, **kw):
-            return sum(1 for _ in trees_matching(n, TreeConstraint(**kw)))
+        def stream_count(n, matching=None, min_max_degree=None, diameter=None,
+                         perfect_matching=None):
+            return sum(
+                1 for t in all_trees(n)
+                if (matching is None or invariants.matching_number(t) == matching)
+                and (min_max_degree is None
+                     or max(t.degree(v) for v in range(t.n)) >= min_max_degree)
+                and (diameter is None or invariants.diameter(t) == diameter)
+                and (perfect_matching is None
+                     or invariants.has_perfect_matching(t) == perfect_matching))
 
         by_q = {r.constraint["q"]: r.class_size
                 for r in verify_theorem("T4.1", n_min=8, n_max=8)}
