@@ -13,10 +13,12 @@ import csv
 import io
 import json
 import sys
+from contextlib import nullcontext
+from functools import partial
 
 from . import __version__
 from .counting import count_report, subtree_totals
-from .enumeration import TreeConstraint, all_level_sequences, map_shards
+from .enumeration import TreeConstraint, all_level_sequences, map_shards, merge_runs
 from .families import FAMILIES, FORMULA_DISPLAY, FamilySpec, closed_form, construct
 from .invariants import invariant_profile
 from .transforms import TransformSpec, apply_transform
@@ -161,9 +163,13 @@ def _cmd_transform(args) -> int:
     return 0
 
 
-def _admitted(constraint: TreeConstraint, seqs) -> list:
-    """(index within the shard, level sequence) for each tree the constraint admits."""
-    return list(constraint.select(seqs))
+def _admitted(constraint: TreeConstraint, runs) -> list[list[tuple[int, ...]]]:
+    """The level sequences of each run whose trees the constraint admits."""
+    return [list(constraint.select(run)) for run in runs]
+
+
+def _count_admitted(constraint: TreeConstraint, runs) -> int:
+    return sum(1 for run in runs for _ in constraint.select(run))
 
 
 def _cmd_enumerate(args) -> int:
@@ -171,16 +177,15 @@ def _cmd_enumerate(args) -> int:
         matching=args.matching, domination=args.domination, diameter=args.diameter,
         leaves=args.leaves, min_max_degree=args.min_max_degree,
         perfect_matching=args.perfect_matching)
+    if args.count_only:
+        counts, = map_shards(_count_admitted, constraint, [args.n], args.jobs)
+        print(sum(counts))
+        return 0
     if args.jobs == 1:
-        seqs = (seq for _, seq in constraint.select(all_level_sequences(args.n)))
+        seqs = constraint.select(all_level_sequences(args.n))
     else:
         parts, = map_shards(_admitted, constraint, [args.n], args.jobs)
-        # sequence i of shard s comes at position i * jobs + s of the sequential stream
-        seqs = [seq for _, _, seq in sorted((i, s, seq) for s, part in enumerate(parts)
-                                            for i, seq in part)]
-    if args.count_only:
-        print(sum(1 for _ in seqs))
-        return 0
+        seqs = (seq for run in merge_runs(parts) for seq in run)
     trees = map(tree_from_level_sequence, seqs)
     if args.csv:
         rows = [[args.n, " ".join(f"{u}-{v}" for u, v in t.edges)] for t in trees]
@@ -215,13 +220,19 @@ def _cmd_verify(args) -> int:
             setattr(args, k, default)
     if args.theorem:
         orders = theorem_orders(args.theorem, args.n_min, args.n_max)
-        results = verify_theorem(args.theorem, n_min=args.n_min, n_max=args.n_max,
-                                 jobs=args.jobs, formula_variant=args.formula_variant)
+        scan = partial(verify_theorem, args.theorem, n_min=args.n_min, n_max=args.n_max,
+                       jobs=args.jobs, formula_variant=args.formula_variant)
         header = (f"# theorem={args.theorem} n={orders[0]}..{orders[-1]} "
                   f"jobs={args.jobs} formula={args.formula_variant}")
     else:
-        results = run_lemma_suite(args.lemma, samples=args.samples, seed=args.seed)
+        scan = partial(run_lemma_suite, args.lemma, samples=args.samples, seed=args.seed)
         header = f"# lemma={args.lemma} samples={args.samples} seed={args.seed}"
+    # a report path that cannot be opened fails the command before the scan
+    with open(args.json, "w", encoding="ascii") if args.json else nullcontext() as report:
+        results = scan()
+        if report is not None:
+            json.dump([r.to_json_dict() for r in results], report, indent=2)
+            report.write("\n")
     print(header)
     if args.csv:
         rows = [[r.theorem, r.n if r.n is not None else "",
@@ -246,10 +257,6 @@ def _cmd_verify(args) -> int:
             print(" ".join(parts))
     failed = [r for r in results if not r.passed]
     print(f"# {len(results) - len(failed)}/{len(results)} checks passed")
-    if args.json:
-        with open(args.json, "w", encoding="ascii") as fh:
-            json.dump([r.to_json_dict() for r in results], fh, indent=2)
-            fh.write("\n")
     return 1 if failed else 0
 
 

@@ -5,8 +5,8 @@ successor method for free trees (Wright-Richmond-Odlyzko-McKay): rooted level
 sequences are stepped in decreasing lexicographic order, and a candidate is a
 valid free-tree representative exactly when the root's first principal subtree
 is no taller / no bigger / no larger lexicographically than the rest of the
-tree.  Invalid prefixes are skipped in one jump, so no isomorphism
-deduplication is ever needed.
+tree.  Invalid prefixes, and the runs another shard takes, are skipped in
+one jump, so no isomorphism deduplication is ever needed.
 
 Random labeled trees (uniform over labeled, not unlabeled, trees -- adequate
 for sampled property checks) come from random Pruefer sequences.
@@ -18,6 +18,7 @@ import multiprocessing
 import os
 import random
 from dataclasses import dataclass
+from itertools import chain
 from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
@@ -32,18 +33,10 @@ class TooLargeError(ValueError):
     """Requested order beyond the enumeration cap."""
 
 
-def _next_rooted(seq: list[int], p: int | None = None) -> list[int] | None:
-    """Successor of a rooted-tree level sequence in decreasing lex order.
-
-    ``p`` may pin the position whose value must decrease; by default it is
-    the last entry exceeding 1.  Returns None after the star [0,1,...,1].
-    """
-    if p is None:
-        p = len(seq) - 1
-        while seq[p] == 1:
-            p -= 1
-    if p == 0:
-        return None
+def _next_rooted(seq: list[int], p: int) -> list[int]:
+    """Successor of a rooted-tree level sequence in decreasing lex order,
+    with ``p`` the position whose value must decrease (the last entry
+    exceeding 1 for the plain successor)."""
     q = p - 1
     while seq[q] != seq[p] - 1:
         q -= 1
@@ -55,55 +48,81 @@ def _next_rooted(seq: list[int], p: int | None = None) -> list[int] | None:
 
 def _split(seq: Sequence[int]) -> tuple[list[int], list[int]]:
     """(first principal subtree re-rooted at depth 0, remainder of the tree)."""
-    m = len(seq)
-    seen_one = False
-    for i, d in enumerate(seq):
-        if d == 1:
-            if seen_one:
-                m = i
-                break
-            seen_one = True
-    left = [seq[i] - 1 for i in range(1, m)]
-    rest = [0] + list(seq[m:])
-    return left, rest
+    m = seq.index(1, 2) if 1 in seq[2:] else len(seq)   # the root's second child
+    return [d - 1 for d in seq[1:m]], [0, *seq[m:]]
 
 
-def _next_free(candidate: list[int]) -> list[int] | None:
+def _jump(seq: list[int], p: int) -> list[int]:
+    """The first free-tree sequence after every sequence that shares seq's
+    first principal subtree, which ends at position ``p``."""
+    nxt = _next_rooted(seq, p)
+    if seq[p] > 2:
+        # the rest ends on a path exactly as deep as the new first principal subtree
+        height = max(_split(nxt)[0])
+        nxt[-height - 1:] = range(1, height + 2)
+    return nxt
+
+
+def _next_free(candidate: list[int]) -> list[int]:
     """Validate a rooted candidate as a free tree, jumping ahead if not."""
     left, rest = _split(candidate)
-    left_height = max(left)
-    rest_height = max(rest)
-    valid = rest_height >= left_height
-    if valid and rest_height == left_height:
-        if len(left) > len(rest):
-            valid = False
-        elif len(left) == len(rest) and left > rest:
-            valid = False
-    if valid:
+    # (height, size, sequence) of the rest against the first principal subtree
+    if (max(rest), len(rest), rest) >= (max(left), len(left), left):
         return candidate
-    p = len(left)
-    nxt = _next_rooted(candidate, p)
-    if candidate[p] > 2:
-        new_left, _ = _split(nxt)
-        suffix = list(range(1, max(new_left) + 2))
-        nxt[-len(suffix):] = suffix
-    return nxt
+    return _jump(candidate, len(left))
+
+
+def _run(start: list, end: int) -> Iterator[tuple[int, ...]]:
+    """The run that begins at ``start[0]``, whose first principal subtree
+    ends at position ``end``; leaves the next run's first sequence (None
+    after the star, the last tree) in ``start[0]``."""
+    seq = start[0]
+    while True:
+        yield tuple(seq)
+        p = len(seq) - 1
+        while seq[p] == 1:
+            p -= 1
+        if p == 0:
+            start[0] = None
+            return
+        candidate = _next_rooted(seq, p)
+        seq = _next_free(candidate)
+        # the successor rewrote the first principal subtree, or the check jumped past it
+        if p <= end or seq is not candidate:
+            start[0] = seq
+            return
+
+
+def _runs(n: int, shard: int = 0, shards: int = 1) -> Iterator[Iterator[tuple[int, ...]]]:
+    """Runs shard, shard + shards, ... of the order-n level sequences, each a
+    lazy stream.  A run is a maximal block of sequences sharing one first
+    principal subtree; another shard's run is passed in one jump."""
+    if n < 1 or n > MAX_ORDER:
+        raise TooLargeError(f"order {n} outside 1..{MAX_ORDER}")
+    start = [list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))]   # the path
+    r = 0
+    while start[0] is not None:
+        end = len(_split(start[0])[0])
+        if r % shards == shard:
+            run = _run(start, end)
+            yield run
+            for _ in run:   # whatever the consumer left unread
+                pass
+        else:
+            start[0] = _jump(start[0], end) if end > 1 else None
+        r += 1
+
+
+def merge_runs(parts: Sequence[Sequence[_R]]) -> list[_R]:
+    """One result per run from each shard of one order, back in generation
+    order: run r is item ``r // w`` of shard ``r % w`` of w."""
+    w = len(parts)
+    return [parts[r % w][r // w] for r in range(sum(map(len, parts)))]
 
 
 def all_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """Canonical level sequences of all non-isomorphic trees on n vertices."""
-    if n < 1 or n > MAX_ORDER:
-        raise TooLargeError(f"order {n} outside 1..{MAX_ORDER}")
-    if n == 1:
-        yield (0,)
-        return
-    layout: list[int] | None = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    while layout is not None:
-        layout = _next_free(layout)
-        if layout is None:
-            return
-        yield tuple(layout)
-        layout = _next_rooted(layout)
+    return chain.from_iterable(_runs(n))
 
 
 def all_trees(n: int) -> Iterator[Tree]:
@@ -187,23 +206,15 @@ def tree_record(seq: Sequence[int]) -> TreeRecord:
                       max(max(kids[1:], default=-1) + 1, kids[0]))
 
 
-def _sharded_sequences(n: int, shard: int, jobs: int) -> Iterator[tuple[int, ...]]:
-    """The level sequences with emission index = shard mod jobs."""
-    for i, seq in enumerate(all_level_sequences(n)):
-        if i % jobs == shard:
-            yield seq
-
-
-def map_shards(fn: Callable[[object, Iterator[tuple[int, ...]]], _R], arg: object,
+def map_shards(fn: Callable[[object, Iterator[Iterator[tuple[int, ...]]]], _R], arg: object,
                orders: Sequence[int], jobs: int) -> list[list[_R]]:
-    """``[[fn(arg, shard s of order n's level sequences) for s in range(jobs)]
-    for n in orders]``.
+    """``[[fn(arg, the runs of shard s of order n) for s in range(w)]
+    for n in orders]`` with ``w = min(jobs, os.cpu_count())``.
 
-    The i-th sequence of shard s is sequence ``i * jobs + s`` of
-    all_level_sequences(n).  ``jobs`` sets the shard count, so results do not
-    depend on the machine; with ``jobs > 1`` every (order, shard) task of the
-    call runs in one pool of ``min(jobs, os.cpu_count())`` forked workers,
-    largest order first.  ``fn`` must then be a module-level function, and
+    Shard s gets runs s, s + w, s + 2w, ... (see ``_runs``); merge_runs puts
+    per-run results back in generation order.  With ``w > 1`` every
+    (order, shard) task of the call runs in one pool of w forked workers,
+    largest order first; ``fn`` must then be a module-level function, and
     ``arg`` and the results must pickle.
     """
     if jobs < 1:
@@ -211,23 +222,21 @@ def map_shards(fn: Callable[[object, Iterator[tuple[int, ...]]], _R], arg: objec
     for n in orders:
         if n < 1 or n > MAX_ORDER:
             raise TooLargeError(f"order {n} outside 1..{MAX_ORDER}")
-    tasks = [(fn, arg, n, shard, jobs)
-             for n in sorted(orders, reverse=True) for shard in range(jobs)]
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers == 1:
+    shards = min(jobs, os.cpu_count() or 1)
+    ordered = sorted(orders, reverse=True)
+    tasks = [(fn, arg, n, shard, shards) for n in ordered for shard in range(shards)]
+    if shards == 1:
         results = [_run_shard(task) for task in tasks]
     else:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
+        with multiprocessing.get_context("fork").Pool(shards) as pool:
             results = pool.map(_run_shard, tasks, chunksize=1)
-    by_order = {}
-    for (_, _, n, _, _), result in zip(tasks, results):
-        by_order.setdefault(n, []).append(result)
+    by_order = {n: results[i * shards:(i + 1) * shards] for i, n in enumerate(ordered)}
     return [by_order[n] for n in orders]
 
 
 def _run_shard(task: tuple) -> object:
-    fn, arg, n, shard, jobs = task
-    return fn(arg, _sharded_sequences(n, shard, jobs))
+    fn, arg, n, shard, shards = task
+    return fn(arg, _runs(n, shard, shards))
 
 
 @dataclass(frozen=True)
@@ -251,19 +260,17 @@ class TreeConstraint:
                 and (self.perfect_matching is None
                      or (2 * rec.matching == rec.n) == self.perfect_matching))
 
-    def select(self, seqs: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, tuple[int, ...]]]:
-        """(index in seqs, sequence) for each level sequence whose tree the
-        constraint admits, read off its tree_record; with no field set, every
-        sequence and no record."""
+    def select(self, seqs: Iterable[tuple[int, ...]]) -> Iterator[tuple[int, ...]]:
+        """The level sequences whose trees the constraint admits, read off
+        their tree_record; with no field set, every sequence and no record."""
         if self == TreeConstraint():
-            return enumerate(seqs)
-        return ((i, seq) for i, seq in enumerate(seqs) if self.admits(tree_record(seq)))
+            return iter(seqs)
+        return (seq for seq in seqs if self.admits(tree_record(seq)))
 
 
 def trees_matching(n: int, constraint: TreeConstraint) -> Iterator[Tree]:
     """All non-isomorphic trees on n vertices satisfying the constraint."""
-    for _, seq in constraint.select(all_level_sequences(n)):
-        yield tree_from_level_sequence(seq)
+    return map(tree_from_level_sequence, constraint.select(all_level_sequences(n)))
 
 
 def tree_from_prufer(seq: Sequence[int]) -> Tree:

@@ -6,15 +6,16 @@ Theorem checks enumerate *every* tree in the constraint class, take the
 claimed extremum, and compare both the value (against the closed form) and
 the extremizer set (against the constructed family member, with uniqueness
 required exactly where the statement asserts it).  Runs are deterministic:
-the worker count only shards the enumeration, and reductions are associative
-with canonical-form tie-breaking, so reports are byte-identical for any
-``jobs``.
+``jobs`` only sets how many shards of whole generator runs the enumeration
+is split into, and reductions are associative with canonical-form
+tie-breaking, so reports are byte-identical for any ``jobs`` and CPU count.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable
 
 from . import counting, invariants
@@ -166,13 +167,13 @@ def _better(val: int, cur: int, mode: str) -> bool:
     return val > cur if mode == "max" else val < cur
 
 
-def _scan_shard(tag: str, seqs: Iterable[tuple[int, ...]]):
-    """Aggregate one enumeration shard: key -> {qty: [extreme value, set of
-    generator level sequences]}, and key -> class size."""
+def _scan_shard(tag: str, runs: Iterable[Iterable[tuple[int, ...]]]):
+    """Aggregate the runs of one enumeration shard: key -> {qty: [extreme
+    value, set of generator level sequences]}, and key -> class size."""
     th = _THEOREMS[tag]
     agg: dict = {}
     counts: dict = {}
-    for seq in seqs:
+    for seq in chain.from_iterable(runs):
         rec = tree_record(seq)
         keys = th.keys(rec)
         for key in keys:

@@ -142,7 +142,7 @@ class TestEnumerate:
         for flag in flags:
             outs = {}
             for mode in ([], ["--count-only"], ["--csv"]):
-                for jobs in ("1", "2", "3"):
+                for jobs in ("1", "2", "3", "64"):
                     code, out, err = run_cli(capsys, "enumerate", "--n", "11", *flag,
                                              *mode, "--jobs", jobs)
                     assert code == 0 and err == ""
@@ -175,6 +175,20 @@ class TestVerify:
         payload = json.loads(report.read_text())
         jsonschema.validate(payload, VERIFICATION_SCHEMA)
         assert all(row["pass"] for row in payload)
+
+    @pytest.mark.parametrize("argv", [["--theorem", "T4.7", "--n-max", "6"],
+                                      ["--lemma", "L3.2", "--samples", "5"]])
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unopenable_report_path_fails_before_the_scan(self, capsys, monkeypatch,
+                                                          tmp_path, argv, where):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("scanned before opening the report path")
+
+        monkeypatch.setattr("treecount.cli.verify_theorem", no_scan)
+        monkeypatch.setattr("treecount.cli.run_lemma_suite", no_scan)
+        path = tmp_path if where == "directory" else tmp_path / "absent" / "r.json"
+        code, out, err = run_cli(capsys, "verify", *argv, "--json", str(path))
+        assert code == 2 and out == "" and str(path) in err
 
     def test_failing_run_exit_one(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--theorem", "T4.8",

@@ -1,12 +1,13 @@
+import hashlib
 import random
 
 import pytest
 
 from bruteforce import class_count_by_formula, prufer_class_count
 from conftest import make_path, make_star
-from treecount.enumeration import (MAX_ORDER, TooLargeError, TreeConstraint,
+from treecount.enumeration import (MAX_ORDER, TooLargeError, TreeConstraint, _runs,
                                    all_level_sequences, all_trees, map_shards,
-                                   random_labeled_tree, tree_from_prufer,
+                                   merge_runs, random_labeled_tree, tree_from_prufer,
                                    trees_matching)
 from treecount.families import FamilySpec, construct
 from treecount.invariants import (diameter, domination_number, has_perfect_matching,
@@ -55,22 +56,73 @@ class TestGenerator:
         assert next(all_level_sequences(MAX_ORDER))
 
 
-def _listed(_, seqs):
-    return list(seqs)
+def _listed(_, runs):
+    return [list(run) for run in runs]
+
+
+def _first_subtree(seq):
+    """seq[1:m], with m the position of the root's second child (or the end)."""
+    m = seq.index(1, 2) if 1 in seq[2:] else len(seq)
+    return seq[1:m]
+
+
+# sha256 of b"".join(bytes(seq) + b"\n" for seq in all_level_sequences(n)), taken
+# from the walk as it was before shards were dealt whole runs
+_STREAM_SHA256 = {
+    1: "67ebbd370daa02ba9aadd05d8e091e862d0d8bcadafdf2a22360240a42fe922e",
+    2: "f3a958cc1b9248073cfc790ee66d3bb4ab2781096978ebcb1ae95cdfb6264908",
+    3: "863e01e47e36ddd87dca2528d899278dcf072ed77abdc233e3b6fb316872df1f",
+    4: "ab93bd5591004e26028bbb5d9c69b21588c60209f2972138de8cce6c65e27f9d",
+    5: "2151fd8c46bb17abe4353181cfb696324860f83966c4b92378f844c21f2cecd0",
+    6: "00c71d2d4830b1d09bd833e627335f3244d36130adfd9ac2d9077e03f82ea823",
+    7: "2c087e6e710862eec28054521cc1c20768bb0f9ca7d634aea986d5f840a2d67d",
+    8: "ed53750f1306a4a55cb5b18d635b4dcd3a5e35b5c758ec36dee3d2c6f702414a",
+    9: "3249f522870cfc9ebf1d9c11e4f5ffeb0c30fcfdc35943a45baa0f381b208d14",
+    10: "a71b9f0c606f50f96fd674050f71042257769d7a54daf1c0860f39246c4d49ff",
+    11: "33ba958fc668418d580d594f3e5762b3ceef18bf601637da49af7b7a07508b68",
+    12: "95053cafc23e53d1991abe993e4ffdb514a71cfc37cdd982c331c9013bb346fc",
+    13: "3751ea13b162d37207ac2895e60fa1810cee6d433cb7c81a203aa7302855c5a1",
+    14: "dce77b86812e68267a9d2b1f4c69d524b9871a6a09220e4fd1d3a0b7df25ebee",
+    15: "ae811176b3974f5dd1bc3b988123d66488bd143edb0e1bbf000fbfc0ba831ff1",
+    16: "de00ef3d1b38d047bf88aa00bd97cf28dade365b8bace7a466bb6f51e155aa0a",
+    17: "10786bf2824d035db6ab86db74ab47949d30a191490caf27ea3b6ff2fd006936",
+    18: "3cc6b718942008d58b561c3999b049a40e45ce7c27be85fa8ff00133340e0fad",
+}
 
 
 class TestSharding:
+    def test_stream_is_unchanged(self):
+        for n, digest in _STREAM_SHA256.items():
+            h = hashlib.sha256()
+            for seq in all_level_sequences(n):
+                h.update(bytes(seq) + b"\n")
+            assert h.hexdigest() == digest, n
+
     def test_partition_is_exact(self):
-        # sequence i of shard s is sequence i * jobs + s of the whole order
-        orders = range(1, 15)
-        for jobs in (1, 2, 3, 4, 8):
-            for n, parts in zip(orders, map_shards(_listed, None, orders, jobs)):
-                assert len(parts) == jobs
-                merged = [None] * sum(map(len, parts))
-                for s, part in enumerate(parts):
-                    for i, seq in enumerate(part):
-                        merged[i * jobs + s] = seq
-                assert merged == list(all_level_sequences(n)), (n, jobs)
+        # run r is item r // w of shard r % w; merged, the runs are the stream
+        for n in range(1, 17):
+            stream = list(all_level_sequences(n))
+            for w in range(1, 9):
+                parts = [_listed(None, _runs(n, s, w)) for s in range(w)]
+                assert [seq for run in merge_runs(parts) for seq in run] == stream, (n, w)
+
+    def test_runs_are_maximal_blocks_of_one_first_subtree(self):
+        for n in range(2, 17):
+            subtrees = []
+            for run in _runs(n):
+                run = list(run)
+                assert run and len({_first_subtree(seq) for seq in run}) == 1, n
+                subtrees.append(_first_subtree(run[0]))
+            assert all(a != b for a, b in zip(subtrees, subtrees[1:])), n
+
+    def test_shard_count_follows_the_cpus(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        orders = [7, 12]
+        got = map_shards(_listed, None, orders, 64)
+        assert [len(parts) for parts in got] == [2, 2]
+        for n, parts in zip(orders, got):
+            assert [seq for run in merge_runs(parts) for seq in run] == \
+                list(all_level_sequences(n))
 
     def test_bad_shard(self):
         for jobs in (0, -1):

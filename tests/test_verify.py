@@ -114,10 +114,10 @@ class TestDeterminismAndSerialization:
         assert sizes == []
         monkeypatch.setattr("os.cpu_count", lambda: 1)
         assert [r.to_json_dict() for r in verify_theorem("T4.7", n_min=5, n_max=9, jobs=3)] == want
-        assert sizes == []  # one worker: the three shards run in this process
+        assert sizes == []  # one CPU: one shard per order, run in this process
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         assert [r.to_json_dict() for r in verify_theorem("T4.7", n_min=5, n_max=9, jobs=3)] == want
-        assert sizes == [2]  # five orders, three shards each, one pool
+        assert sizes == [2]  # five orders, two shards each, one pool
 
     def test_report_schema(self):
         rows = verify_theorem("T4.8", n_min=3, n_max=5, formula_variant="product")
