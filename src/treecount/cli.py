@@ -218,13 +218,19 @@ def _cmd_verify(args) -> int:
     for k, default in own.items():
         if getattr(args, k) is None:
             setattr(args, k, default)
+    # the scan's own usage checks are made here too, so that a usage error
+    # leaves an existing --json PATH as it was
     if args.theorem:
         orders = theorem_orders(args.theorem, args.n_min, args.n_max)
+        if args.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {args.jobs}")
         scan = partial(verify_theorem, args.theorem, n_min=args.n_min, n_max=args.n_max,
                        jobs=args.jobs, formula_variant=args.formula_variant)
         header = (f"# theorem={args.theorem} n={orders[0]}..{orders[-1]} "
                   f"jobs={args.jobs} formula={args.formula_variant}")
     else:
+        if args.samples < 1:
+            raise ValueError("samples must be >= 1")
         scan = partial(run_lemma_suite, args.lemma, samples=args.samples, seed=args.seed)
         header = f"# lemma={args.lemma} samples={args.samples} seed={args.seed}"
     # a report path that cannot be opened fails the command before the scan

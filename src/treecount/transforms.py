@@ -92,18 +92,14 @@ def b_transform(t: Tree, u: int, v: int) -> tuple[Tree, dict[int, int]]:
     Both sides of uv must have at least two vertices.  The old->new map sends
     v to the merged vertex; the new pendant gets label n-1.
     """
-    key = (u, v) if u < v else (v, u)
-    if key not in t.edges:
+    if not (0 <= u < t.n and v in t.adj[u]):
         raise BadAnchorError(f"({u}, {v}) is not an edge")
     if t.degree(u) < 2 or t.degree(v) < 2:
         raise SideTooSmallError("each side of the edge needs >= 2 vertices")
     old_to_new = {w: (w if w < v else w - 1) for w in range(t.n) if w != v}
     old_to_new[v] = old_to_new[u]
-    edges = []
-    for a, b in t.edges:
-        if (a, b) == key:
-            continue
-        edges.append((old_to_new[a], old_to_new[b]))
+    key = (u, v) if u < v else (v, u)
+    edges = [(old_to_new[a], old_to_new[b]) for a, b in t.edges if (a, b) != key]
     edges.append((old_to_new[u], t.n - 1))
     return Tree(t.n, edges), old_to_new
 

@@ -12,9 +12,7 @@ Vertices are always the integers ``0..n-1``.  Two text formats are supported:
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, NamedTuple
 
 
@@ -56,52 +54,52 @@ class Tree:
     rooting the tree again.
     """
 
-    __slots__ = ("n", "edges", "adj", "rooting")
+    __slots__ = ("n", "adj", "rooting")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
             raise NotATreeError("a tree has at least one vertex")
-        norm = []
-        for e in edges:
-            u, v = e
+        adj: list = [[] for _ in range(n)]
+        m = 0
+        for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise LabelOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
             if u == v:
                 raise NotATreeError(f"self-loop at vertex {u}")
-            # an exact tuple already in order is kept, not copied
-            if u > v:
-                e = (v, u)
-            elif type(e) is not tuple:
-                e = (u, v)
-            norm.append(e)
-        if len(norm) != n - 1:
-            raise NotATreeError(f"{len(norm)} edges for {n} vertices, expected {n - 1}")
-        norm.sort()
-        if any(map(operator.eq, norm, islice(norm, 1, None))):
-            raise NotATreeError("duplicate edge")
-        # From the sorted edges each list comes out ascending: a vertex x
-        # first gets its smaller neighbours (edges (u, x), u < x, sort before
-        # every (x, v)), each run in edge order.
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in norm:
             adj[u].append(v)
             adj[v].append(u)
+            m += 1
+        if m != n - 1:
+            raise NotATreeError(f"{m} edges for {n} vertices, expected {n - 1}")
         # connected + n-1 edges => acyclic.  The breadth-first search that
-        # checks it is kept as the rooting at 0; its list grows as it is read.
+        # checks it is kept as the rooting at 0; its list grows as it is
+        # read.  Each list is sorted and frozen when its vertex is visited,
+        # so a connected graph leaves every list ascending.
         parent = [-2] * n
         parent[0] = -1
         order = [0]
         for v in order:
-            for w in adj[v]:
+            nbrs = adj[v]
+            nbrs.sort()
+            adj[v] = tuple(nbrs)
+            for w in nbrs:
                 if parent[w] == -2:
                     parent[w] = v
                     order.append(w)
         if len(order) != n:
+            # n-1 edges with a repeat cannot connect n vertices, so a
+            # repeated edge shows only here, as two equal neighbours
+            if any(len(set(nbrs)) != len(nbrs) for nbrs in adj):
+                raise NotATreeError("duplicate edge")
             raise NotATreeError("graph is not connected")
         self.n = n
-        self.edges = tuple(norm)
-        self.adj = tuple(map(tuple, adj))
+        self.adj = tuple(adj)
         self.rooting = (tuple(order), tuple(parent))
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge as (u, v), u < v, ascending: O(n) from ``adj`` per access."""
+        return tuple((u, v) for u, nbrs in enumerate(self.adj) for v in nbrs if v > u)
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -115,10 +113,10 @@ class Tree:
         return tuple(v for v in range(self.n) if self.is_leaf(v))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Tree) and self.n == other.n and self.edges == other.edges
+        return isinstance(other, Tree) and self.adj == other.adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash(self.adj)
 
     def __repr__(self) -> str:
         return f"Tree(n={self.n}, edges={list(self.edges)})"
@@ -287,6 +285,7 @@ def parse_tree(text: str, fmt: str = "edgelist") -> Tree:
             except ValueError:
                 raise MalformedInputError(f"bad edge line: {line!r}") from None
             edges.append((u, v))
+        del lines  # the text's lines need not outlive the parse
         return Tree(n, edges)
     if fmt == "levelseq":
         tokens = text.split()
@@ -296,6 +295,7 @@ def parse_tree(text: str, fmt: str = "edgelist") -> Tree:
             depths = [int(tok) for tok in tokens]
         except ValueError:
             raise MalformedInputError("level sequence entries must be integers") from None
+        del tokens
         return tree_from_level_sequence(depths)
     raise ValueError(f"unknown format {fmt!r}")
 

@@ -370,7 +370,8 @@ def _suite_b_transform(samples: int, seed: int) -> list[VerificationResult]:
     for _ in range(samples):
         while True:
             t = random_labeled_tree(rng.randint(4, 16), rng)
-            internal = [e for e in t.edges if t.degree(e[0]) >= 2 and t.degree(e[1]) >= 2]
+            internal = [(u, v) for u, nbrs in enumerate(t.adj) if len(nbrs) >= 2
+                        for v in nbrs if v > u and len(t.adj[v]) >= 2]
             if internal:
                 break
         u, v = rng.choice(internal)
@@ -473,18 +474,13 @@ def _suite_pendant_edge(samples: int, seed: int) -> list[VerificationResult]:
                          "equality only on the two-vertex tree (checked)")
 
 
-def _attach_path_at(base: Tree, w: int, k: int, i: int) -> Tree:
-    """Identify vertex w of base with position i (1-based) of a k-vertex path."""
-    labels = []
-    nxt = base.n
-    for pos in range(k):
-        if pos == i - 1:
-            labels.append(w)
-        else:
-            labels.append(nxt)
-            nxt += 1
-    edges = list(base.edges) + [(labels[p], labels[p + 1]) for p in range(k - 1)]
-    return Tree(base.n + k - 1, edges)
+def _attach_path_at(n: int, base_edges, w: int, k: int, i: int) -> Tree:
+    """Identify vertex w of an n-vertex base tree, given by its edges, with
+    position i (1-based) of a k-vertex path."""
+    labels = list(range(n, n + k - 1))
+    labels.insert(i - 1, w)
+    edges = list(base_edges) + [(labels[p], labels[p + 1]) for p in range(k - 1)]
+    return Tree(n + k - 1, edges)
 
 
 def _suite_path_attachment(samples: int, seed: int) -> list[VerificationResult]:
@@ -494,7 +490,8 @@ def _suite_path_attachment(samples: int, seed: int) -> list[VerificationResult]:
         base = random_labeled_tree(rng.randint(2, 8), rng)
         w = rng.randrange(base.n)
         k = rng.randint(2, 8)
-        series = [_attach_path_at(base, w, k, i) for i in range(1, k + 1)]
+        base_edges = base.edges
+        series = [_attach_path_at(base.n, base_edges, w, k, i) for i in range(1, k + 1)]
         fs, gs = zip(*map(counting.subtree_totals, series))
         ok = True
         for i in range(k):

@@ -9,8 +9,47 @@ enumeration.
 from __future__ import annotations
 
 import itertools
+import operator
 
-from treecount.tree import Tree
+from treecount.tree import LabelOutOfRangeError, NotATreeError, Tree
+
+
+def reference_tree(n: int, edges):
+    """``(edges, adj, rooting)`` of the tree on 0..n-1 with these edges, or the
+    error ``Tree(n, edges)`` must raise, by the route that first normalises
+    every edge to (low, high), sorts them, scans the sorted list for a
+    repeat, and only then builds the adjacency and searches it."""
+    if n < 1:
+        raise NotATreeError("a tree has at least one vertex")
+    norm = []
+    for e in edges:
+        u, v = e
+        if not (0 <= u < n and 0 <= v < n):
+            raise LabelOutOfRangeError(f"edge ({u}, {v}) outside 0..{n - 1}")
+        if u == v:
+            raise NotATreeError(f"self-loop at vertex {u}")
+        norm.append((min(u, v), max(u, v)))
+    if len(norm) != n - 1:
+        raise NotATreeError(f"{len(norm)} edges for {n} vertices, expected {n - 1}")
+    norm.sort()
+    if any(map(operator.eq, norm, norm[1:])):
+        raise NotATreeError("duplicate edge")
+    # sorted edges give ascending lists: x gets its smaller neighbours first
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in norm:
+        adj[u].append(v)
+        adj[v].append(u)
+    parent = [-2] * n
+    parent[0] = -1
+    order = [0]
+    for v in order:
+        for w in adj[v]:
+            if parent[w] == -2:
+                parent[w] = v
+                order.append(w)
+    if len(order) != n:
+        raise NotATreeError("graph is not connected")
+    return tuple(norm), tuple(map(tuple, adj)), (tuple(order), tuple(parent))
 
 
 def _free_key(adj, intern: dict) -> tuple[int, ...]:

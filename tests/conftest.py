@@ -51,7 +51,7 @@ def dfs_rooted(t: Tree) -> Tree:
     the breadth-first one built with it.  A function that reads the rooting
     only as parents-first must give the same value on both."""
     s = object.__new__(Tree)
-    s.n, s.edges, s.adj = t.n, t.edges, t.adj
+    s.n, s.adj = t.n, t.adj
     s.rooting = tuple(map(tuple, preorder(t, 0)))
     return s
 

@@ -190,6 +190,17 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", *argv, "--json", str(path))
         assert code == 2 and out == "" and str(path) in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--theorem", "T4.1", "--n-max", "6", "--jobs", "0"], "jobs must be >= 1, got 0"),
+        (["--lemma", "L3.2", "--samples", "0"], "samples must be >= 1"),
+    ])
+    def test_usage_error_leaves_report_path_alone(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "r.json"
+        path.write_text("keep\n")
+        code, out, err = run_cli(capsys, "verify", *argv, "--json", str(path))
+        assert code == 2 and out == "" and message in err
+        assert path.read_text() == "keep\n"
+
     def test_failing_run_exit_one(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--theorem", "T4.8",
                                "--n-min", "3", "--n-max", "3",

@@ -1,9 +1,13 @@
 import math
 import random
+import re
+import sys
+import tracemalloc
 from typing import NamedTuple
 
 import pytest
 
+from bruteforce import reference_tree
 from conftest import LARGE_SHAPES, large_shape, make_path, make_star, relabeled
 from treecount.enumeration import all_trees, random_labeled_tree
 from treecount.families import FamilySpec, construct
@@ -71,9 +75,38 @@ class TestConstruction:
             assert s.adj == tuple(tuple(sorted(w for e in t.edges for w in e
                                                if v in e and w != v))
                                   for v in range(t.n))
-        # an exact tuple in order is stored as given, not copied
-        edges = [(0, 1), (1, 2)]
-        assert all(a is b for a, b in zip(Tree(3, edges).edges, edges))
+
+    def test_input_edges_are_not_kept(self):
+        # no edge given is referenced by the tree, whatever its type or order
+        rng = random.Random(19)
+        for _ in range(50):
+            t = random_labeled_tree(rng.randint(2, 60), rng)
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in t.edges]
+            for given in (edges, [list(e) for e in edges], [Edge(*e) for e in edges]):
+                before = [sys.getrefcount(e) for e in given]
+                s = Tree(t.n, given)
+                assert [sys.getrefcount(e) for e in given] == before
+                assert s == t
+
+    @pytest.mark.parametrize("shape", ["path", "random"])
+    def test_build_memory(self, shape):
+        # At n = 10^5 a tree keeps 80.0-80.1 bytes per vertex (adjacency
+        # tuples and rooting) and its build peaks at 1.30-1.31 times that,
+        # by tracemalloc on Python 3.11.  The bounds leave 12% and 15% over
+        # those figures; a build that holds a second copy of the edges peaks
+        # at 2.4 times what it keeps.
+        n = 100_000
+        edges = list(large_shape(shape, n).edges)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            t = Tree(n, edges)
+            kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert t.n == n
+        assert kept <= 90 * n
+        assert peak <= 1.5 * kept
 
     # (n, edges, exception, message): checks run in this order, so an input
     # with several faults reports the first
@@ -97,6 +130,112 @@ class TestConstruction:
         with pytest.raises(exc) as info:
             Tree(n, edges)
         assert type(info.value) is exc and str(info.value) == message
+
+
+def _presentations(t: Tree, rng: random.Random):
+    """t's edges shuffled and randomly reoriented, as tuples, lists and named
+    tuples."""
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in t.edges]
+    rng.shuffle(edges)
+    return edges, [list(e) for e in edges], [Edge(*e) for e in edges]
+
+
+def _built(n, edges):
+    t = Tree(n, edges)
+    return t.edges, t.adj, t.rooting
+
+
+def _outcome(build, n, edges):
+    """build(n, edges), or the class and text of the error it raises."""
+    try:
+        return build(n, edges)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _malformed(rng: random.Random) -> tuple[int, list]:
+    """A random tree's edge list with one to three faults: a self-loop, a
+    repeated edge, a label out of range, a missing or an extra edge, or a
+    cycle plus an isolated vertex."""
+    n = rng.randint(1, 12)
+    edges = list(random_labeled_tree(n, rng).edges)
+    for _ in range(rng.randint(1, 3)):
+        fault = rng.randrange(6)
+        at = rng.randint(0, len(edges))
+        if fault == 0:
+            v = rng.randrange(n)
+            edges.insert(at, (v, v))
+        elif fault == 1 and edges:
+            u, v = rng.choice(edges)
+            edges.insert(at, (v, u) if rng.random() < 0.5 else (u, v))
+        elif fault == 2:
+            bad = rng.choice((-1, -rng.randint(2, 5), n, n + rng.randint(1, 5)))
+            edges.insert(at, (rng.randrange(n), bad) if rng.random() < 0.5
+                         else (bad, rng.randrange(n)))
+        elif fault == 3 and edges:
+            edges.pop(rng.randrange(len(edges)))
+        elif fault == 4:
+            edges.insert(at, (rng.randrange(n), rng.randrange(n)))
+        elif n >= 3:
+            # close a cycle, then add a vertex no edge reaches and shuffle
+            # the labels, so the edge count is right but the graph is split
+            u, v = rng.sample(range(n), 2)
+            edges.append((u, v))
+            n += 1
+            perm = list(range(n))
+            rng.shuffle(perm)
+            edges = [(perm[a] if 0 <= a < n else a, perm[b] if 0 <= b < n else b)
+                     for a, b in edges]
+    rng.shuffle(edges)
+    return n, edges
+
+
+class TestConstructionReference:
+    """Tree construction against the normalise-sort-scan reference route."""
+
+    def test_every_small_tree(self):
+        rng = random.Random(20)
+        seen: dict = {}  # (n, reference edges) -> the first Tree built on them
+        for n in range(1, 11):
+            for t in all_trees(n):
+                for _ in range(2):
+                    t = relabeled(t, rng)
+                    for given in _presentations(t, rng):
+                        ref = reference_tree(n, given)
+                        s = Tree(n, given)
+                        assert (s.edges, s.adj, s.rooting) == ref
+                        first = seen.setdefault((n, ref[0]), s)
+                        assert s == first and hash(s) == hash(first)
+                        assert s == Tree(n, ref[0])
+        # trees on different edge sets are unequal
+        assert len(set(seen.values())) == len(seen)
+
+    def test_random_trees(self):
+        rng = random.Random(21)
+        for _ in range(300):
+            t = random_labeled_tree(rng.randint(1, 2000), rng)
+            given = _presentations(t, rng)[rng.randrange(3)]
+            ref = reference_tree(t.n, given)
+            s = Tree(t.n, given)
+            assert (s.edges, s.adj, s.rooting) == ref
+            assert s == t and hash(s) == hash(t)
+
+    def test_malformed_fuzz(self):
+        rng = random.Random(22)
+        messages = set()
+        for _ in range(3000):
+            n, edges = _malformed(rng)
+            if rng.random() < 0.02:
+                n = rng.randint(-2, 0)
+            given = (edges, [list(e) for e in edges], [Edge(*e) for e in edges])[rng.randrange(3)]
+            want = _outcome(reference_tree, n, given)
+            assert _outcome(_built, n, given) == want
+            if isinstance(want[0], type):
+                messages.add(re.sub(r"-?\d+", "#", want[1]))
+        # each check is the first to fail on some input
+        assert messages == {"a tree has at least one vertex", "self-loop at vertex #",
+                            "edge (#, #) outside #..#", "# edges for # vertices, expected #",
+                            "duplicate edge", "graph is not connected"}
 
 
 def _check_rooting(t: Tree) -> None:
