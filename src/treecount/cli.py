@@ -3,7 +3,7 @@
 Subcommands: count, construct, transform, enumerate, verify, profile.
 Data goes to stdout, diagnostics to stderr; output is byte-identical for a
 fixed argv (and seed).  Exit codes: 0 success, 1 verification failure,
-2 usage error.
+2 usage error, 141 (128 + SIGPIPE) when the reader of stdout has gone.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from contextlib import nullcontext
 from functools import partial
@@ -300,7 +301,17 @@ def main(argv: list[str] | None = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so that a closed pipe is met here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader of stdout has gone (`| head`): end quietly with 141, the
+        # status of a filter killed by SIGPIPE (128 + 13), and point stdout at
+        # the null device so that the interpreter's last flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, LookupError, OSError) as exc:
         print(f"treecount {args.command}: {exc}", file=sys.stderr)
         return 2

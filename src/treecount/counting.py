@@ -18,14 +18,12 @@ Under these, every subtree of a 1- or 2-vertex tree contains a leaf.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .tree import LabelOutOfRangeError, Tree, preorder
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     """All per-tree counts: totals, per-vertex anchored counts, Wiener index."""
 
     n: int

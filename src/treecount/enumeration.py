@@ -14,10 +14,8 @@ for sampled property checks) come from random Pruefer sequences.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
-from dataclasses import dataclass
 from itertools import chain
 from operator import add
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
@@ -228,6 +226,8 @@ def map_shards(fn: Callable[[object, Iterator[Iterator[tuple[int, ...]]]], _R], 
     if shards == 1:
         results = [_run_shard(task) for task in tasks]
     else:
+        # loaded here, so that a command which starts no pool does not load it
+        import multiprocessing
         with multiprocessing.get_context("fork").Pool(shards) as pool:
             results = pool.map(_run_shard, tasks, chunksize=1)
     by_order = {n: results[i * shards:(i + 1) * shards] for i, n in enumerate(ordered)}
@@ -239,8 +239,7 @@ def _run_shard(task: tuple) -> object:
     return fn(arg, _runs(n, shard, shards))
 
 
-@dataclass(frozen=True)
-class TreeConstraint:
+class TreeConstraint(NamedTuple):
     """Optional structural requirements; None fields are unconstrained."""
 
     matching: int | None = None

@@ -31,8 +31,8 @@ the verifier can demonstrate the discrepancy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .tree import Tree
 
@@ -62,8 +62,7 @@ class NoFormulaError(LookupError):
     """No closed form is on record for this (family, quantity) pair."""
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """Selects one extremal family together with its parameters."""
 
     family: str
@@ -77,8 +76,7 @@ class FamilySpec:
     m: int | None = None
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(NamedTuple):
     spec: FamilySpec
     which: str          # "F" or "Fstar"
     value: int

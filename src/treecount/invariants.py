@@ -3,14 +3,12 @@ profile of the structural invariants used to carve out tree classes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .tree import Tree, diameter_and_centers
 
 
-@dataclass(frozen=True)
-class InvariantProfile:
+class InvariantProfile(NamedTuple):
     matching: int
     domination: int
     diameter: int

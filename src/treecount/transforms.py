@@ -16,7 +16,7 @@ Three rewrites, each preserving the vertex count:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .tree import Tree, centers, induced_subtree, path_between, preorder
 
@@ -37,8 +37,7 @@ class CenterViolationError(ValueError):
     """The anchor violates the center-position rules of the C/C' rewrite."""
 
 
-@dataclass(frozen=True)
-class TransformSpec:
+class TransformSpec(NamedTuple):
     """CLI-facing description of one rewrite application."""
 
     kind: str               # "A", "B", "C" or "Cprime"

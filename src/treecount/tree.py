@@ -12,7 +12,6 @@ Vertices are always the integers ``0..n-1``.  Two text formats are supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 
@@ -128,8 +127,7 @@ class CanonicalForm(NamedTuple):
     level_seq: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RootedComponent:
+class RootedComponent(NamedTuple):
     """A connected piece of a larger tree, relabeled to 0..k-1.
 
     ``original_vertices[i]`` is the label the new vertex ``i`` had in the host
@@ -141,8 +139,7 @@ class RootedComponent:
     original_vertices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PathDecomposition:
+class PathDecomposition(NamedTuple):
     """Components left after deleting the edges of a leaf-to-leaf path.
 
     ``path`` runs from x to y in host labels.  ``x_components[i-1]`` hangs at

@@ -14,9 +14,8 @@ tie-breaking, so reports are byte-identical for any ``jobs`` and CPU count.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from . import counting, invariants
 from .enumeration import (MAX_ORDER, TreeRecord, map_shards, random_labeled_tree,
@@ -36,8 +35,7 @@ class UnknownTagError(ValueError):
     """Tag is neither a known theorem nor a known lemma suite."""
 
 
-@dataclass
-class VerificationResult:
+class VerificationResult(NamedTuple):
     """Outcome of one check: a (theorem, n, parameter, quantity) cell or one
     lemma suite run."""
 
@@ -74,8 +72,7 @@ class VerificationResult:
 # the theorem catalog
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Theorem:
+class _Theorem(NamedTuple):
     """One catalog statement: over the n-vertex trees of each class, the
     class's family member attains the extremum of every quantity."""
 

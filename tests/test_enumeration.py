@@ -169,7 +169,7 @@ def reference_fields(t):
 
 
 def reference_admits(fields, constraint):
-    for name, want in vars(constraint).items():
+    for name, want in constraint._asdict().items():
         if want is None:
             continue
         have = fields[name]

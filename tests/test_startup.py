@@ -1,0 +1,112 @@
+"""What a command loads at start-up, and how it ends when the reader of its
+stdout goes away.  Each check runs in a fresh interpreter, since pytest has
+long since loaded modules (``dataclasses`` among them) that the package
+itself must not need."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import treecount
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(treecount.__file__)))
+
+# Prints the modules that ``import treecount.cli`` adds, then, after main()
+# for each argv given as a JSON list, whether multiprocessing is loaded and
+# what the command wrote.
+CHILD = r"""
+import contextlib, io, json, os, sys
+before = set(sys.modules)
+import treecount.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+os.cpu_count = lambda: 2
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = treecount.cli.main(argv)
+    print(json.dumps([argv, "multiprocessing" in sys.modules, code,
+                      out.getvalue(), err.getvalue()]))
+"""
+
+
+def child_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def run_child(*argvs: list[str]) -> tuple[list[str], list[list]]:
+    done = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argvs)],
+                          capture_output=True, text=True, timeout=120, env=child_env(),
+                          check=True)
+    lines = done.stdout.splitlines()
+    return json.loads(lines[0]), [json.loads(line) for line in lines[1:]]
+
+
+@pytest.fixture
+def p6_file(tmp_path):
+    path = tmp_path / "p6.tree"
+    path.write_text("6\n0 1\n1 2\n2 3\n3 4\n4 5\n")
+    return str(path)
+
+
+class TestImports:
+    def test_cli_import_loads_no_dataclasses_or_pool(self):
+        added, _ = run_child()
+        assert "treecount.cli" in added
+        assert "dataclasses" not in added
+        assert "multiprocessing" not in added
+
+    def test_commands_without_a_pool_do_not_load_multiprocessing(self, p6_file):
+        argvs = [
+            ["count", "--input", p6_file],
+            ["profile", "--input", p6_file, "--json"],
+            ["construct", "--family", "star", "--n", "6"],
+            ["construct", "--family", "a_nq", "--n", "9", "--q", "3", "--closed-form", "F"],
+            ["transform", "--input", p6_file, "--kind", "B", "--u", "1", "--v", "2"],
+            ["verify", "--lemma", "L3.2", "--samples", "20"],
+            ["verify", "--theorem", "T4.1", "--n-max", "8", "--jobs", "1"],
+            ["enumerate", "--n", "8", "--jobs", "1"],
+            ["enumerate", "--n", "9", "--count-only"],
+        ]
+        _, rows = run_child(*argvs)
+        assert [row[0] for row in rows] == argvs
+        for argv, loaded, code, out, err in rows:
+            assert code == 0 and out and not err, argv
+            assert not loaded, argv
+
+    def test_a_pool_loads_multiprocessing_and_changes_nothing(self):
+        serial = ["verify", "--theorem", "T4.1", "--n-max", "8", "--jobs", "1"]
+        pooled = serial[:-1] + ["2"]
+        _, (one, two) = run_child(serial, pooled)
+        assert (one[1], two[1]) == (False, True)
+        assert one[2] == 0 and one[4] == ""
+        assert two[2:] == [0, one[3].replace("jobs=1", "jobs=2"), ""]
+
+
+class TestClosedPipe:
+    def start(self, *argv: str) -> subprocess.Popen:
+        return subprocess.Popen([sys.executable, "-m", "treecount.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=child_env())
+
+    def finish(self, proc: subprocess.Popen) -> tuple[int, bytes]:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        return proc.wait(timeout=120), err
+
+    def test_reader_leaves_after_one_line(self):
+        # about 220 kB of trees: far more than the pipe holds, so a write
+        # after the close is certain
+        proc = self.start("enumerate", "--n", "14")
+        assert proc.stdout.readline() == b"14\n"
+        assert self.finish(proc) == (141, b"")
+
+    def test_reader_gone_before_the_report(self):
+        # verify writes its report only at the end, so the pipe is closed first
+        proc = self.start("verify", "--theorem", "T4.1", "--n-max", "10")
+        assert self.finish(proc) == (141, b"")
