@@ -9,7 +9,6 @@ fixed argv (and seed).  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -106,6 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
+    import csv  # only --csv output needs it; keeps it out of every start-up
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)

@@ -94,8 +94,10 @@ def _need(spec: FamilySpec, *names: str) -> list[int]:
 
 
 def _corona_base(spec: FamilySpec) -> int:
-    """Base path length of a corona, from m directly or from an even n."""
+    """Base path length of a corona: m, or an even n = 2m, or both."""
     if spec.m is not None:
+        if spec.n is not None and spec.n != 2 * spec.m:
+            raise BadParamsError(f"corona_path needs n = 2m, got m={spec.m}, n={spec.n}")
         return spec.m
     if spec.n is not None:
         if spec.n % 2:

@@ -14,8 +14,8 @@ tie-breaking, so reports are byte-identical for any ``jobs`` and CPU count.
 from __future__ import annotations
 
 import random
-from itertools import chain
-from typing import Callable, Iterable, NamedTuple
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import counting, invariants
 from .enumeration import (MAX_ORDER, TreeRecord, map_shards, random_labeled_tree,
@@ -26,10 +26,6 @@ from .transforms import (a_transform, b_transform, c_anchors, c_transform,
 from .tree import (CanonicalForm, Tree, canonical_form, induced_subtree,
                    is_isomorphic, path_decomposition, serialize_tree,
                    tree_from_level_sequence)
-
-LEMMA_TAGS = ("L3.1", "L3.2", "L3.3", "leaf-deletion", "pendant-edge",
-              "path-attachment", "path-comparison")
-
 
 class UnknownTagError(ValueError):
     """Tag is neither a known theorem nor a known lemma suite."""
@@ -148,8 +144,6 @@ _THEOREMS = {
 }
 
 THEOREM_TAGS = tuple(_THEOREMS)
-# (default n_min, default n_max) per theorem
-DEFAULT_RANGE = {tag: th.default_range for tag, th in _THEOREMS.items()}
 
 _PRODUCT_NOTE = ("single-leg binomial tail evaluated as a product, the literal "
                  "reading of the displayed count; the direct decomposition "
@@ -160,8 +154,13 @@ _PRODUCT_NOTE = ("single-leg binomial tail evaluated as a product, the literal "
 # enumeration scan: per-class extremes, sharded aggregation
 # ---------------------------------------------------------------------------
 
-def _better(val: int, cur: int, mode: str) -> bool:
-    return val > cur if mode == "max" else val < cur
+def _merge_entry(slot: dict, qty: str, val: int, seqs: Iterable, mode: str) -> None:
+    """Fold (val, seqs) into slot[qty] = [extreme value, set of extremizers]."""
+    cur = slot.get(qty)
+    if cur is None or (val > cur[0] if mode == "max" else val < cur[0]):
+        slot[qty] = [val, set(seqs)]
+    elif val == cur[0]:
+        cur[1].update(seqs)
 
 
 def _scan_shard(tag: str, runs: Iterable[Iterable[tuple[int, ...]]]):
@@ -172,27 +171,12 @@ def _scan_shard(tag: str, runs: Iterable[Iterable[tuple[int, ...]]]):
     counts: dict = {}
     for seq in chain.from_iterable(runs):
         rec = tree_record(seq)
-        keys = th.keys(rec)
-        for key in keys:
+        for key in th.keys(rec):
             counts[key] = counts.get(key, 0) + 1
             slot = agg.setdefault(key, {})
-            mode = th.extremum or key
             for qty in th.quantities:
-                val = getattr(rec, qty)
-                cur = slot.get(qty)
-                if cur is None or _better(val, cur[0], mode):
-                    slot[qty] = [val, {seq}]
-                elif val == cur[0]:
-                    cur[1].add(seq)
+                _merge_entry(slot, qty, getattr(rec, qty), (seq,), th.extremum or key)
     return agg, counts
-
-
-def _merge_entry(slot: dict, qty: str, val: int, seqs: set, mode: str) -> None:
-    cur = slot.get(qty)
-    if cur is None or _better(val, cur[0], mode):
-        slot[qty] = [val, set(seqs)]
-    elif val == cur[0]:
-        cur[1].update(seqs)
 
 
 def _reduce(th: _Theorem, parts: list):
@@ -288,8 +272,8 @@ def _assemble(tag: str, n: int, agg: dict, counts: dict,
 
 def theorem_orders(tag: str, n_min: int | None = None,
                    n_max: int | None = None) -> list[int]:
-    """The orders ``verify_theorem`` checks: the requested range (default
-    ``DEFAULT_RANGE[tag]``) clipped to the orders the statement covers.
+    """The orders ``verify_theorem`` checks: the requested range (default:
+    the tag's ``default_range``) clipped to the orders the statement covers.
 
     Raises ValueError when no order is left, since a run that checks nothing
     must not pass, or when the range reaches past ``MAX_ORDER``, before any
@@ -329,20 +313,17 @@ def verify_theorem(tag: str, n_min: int | None = None, n_max: int | None = None,
 # lemma suites (seeded random instances)
 # ---------------------------------------------------------------------------
 
-def _suite_result(tag: str, samples: int, seed: int, violations: list[Tree],
-                  notes: str) -> list[VerificationResult]:
-    return [VerificationResult(
-        theorem=tag, n=None, constraint={"samples": samples, "seed": seed},
-        claimed=None, achieved=None, extremizers=(), expected=None,
-        passed=not violations, class_size=None,
-        counterexample=violations[0] if violations else None, notes=notes)]
+# Each suite is an endless stream of instances drawn from one seeded rng; it
+# yields (tree reported on failure, lemma holds, tally for the notes).
+_Instances = Iterator[tuple[Tree, bool, int]]
 
 
-def _suite_a_transform(samples: int, seed: int) -> list[VerificationResult]:
-    rng = random.Random(seed)
-    violations: list[Tree] = []
-    equalities = 0
-    for _ in range(samples):
+class _BrokenHypothesis(RuntimeError):
+    """An instance generator made an instance outside its lemma's hypothesis."""
+
+
+def _suite_a_transform(rng: random.Random) -> _Instances:
+    while True:
         t = random_labeled_tree(rng.randint(4, 16), rng)
         u = rng.randrange(t.n)
         root = rng.choice(t.adj[u])
@@ -350,35 +331,23 @@ def _suite_a_transform(samples: int, seed: int) -> list[VerificationResult]:
         fb, sb = counting.subtree_totals(t)
         fa, sa = counting.subtree_totals(out)
         pend = is_pendant_path_component(t, u, root)
-        if pend:
-            equalities += 1
-        ok = (fb >= fa and sb >= sa
-              and (fb == fa) == pend and (sb == sa) == pend
-              and (not pend or is_isomorphic(t, out)))
-        if not ok and not violations:
-            violations.append(t)
-    return _suite_result("L3.1", samples, seed, violations,
-                         f"{equalities} equality instances (branch already a pendant path)")
+        yield t, (fb >= fa and sb >= sa
+                  and (fb == fa) == pend and (sb == sa) == pend
+                  and (not pend or is_isomorphic(t, out))), pend
 
 
-def _suite_b_transform(samples: int, seed: int) -> list[VerificationResult]:
-    rng = random.Random(seed)
-    violations: list[Tree] = []
-    for _ in range(samples):
-        while True:
-            t = random_labeled_tree(rng.randint(4, 16), rng)
-            internal = [(u, v) for u, nbrs in enumerate(t.adj) if len(nbrs) >= 2
-                        for v in nbrs if v > u and len(t.adj[v]) >= 2]
-            if internal:
-                break
+def _suite_b_transform(rng: random.Random) -> _Instances:
+    while True:
+        t = random_labeled_tree(rng.randint(4, 16), rng)
+        internal = [(u, v) for u, nbrs in enumerate(t.adj) if len(nbrs) >= 2
+                    for v in nbrs if v > u and len(t.adj[v]) >= 2]
+        if not internal:
+            continue
         u, v = rng.choice(internal)
         out, _ = b_transform(t, u, v)
         fb, sb = counting.subtree_totals(t)
         fa, sa = counting.subtree_totals(out)
-        ok = fa > fb and sa > sb
-        if not ok and not violations:
-            violations.append(t)
-    return _suite_result("L3.2", samples, seed, violations, "")
+        yield t, fa > fb and sa > sb, 0
 
 
 def _bicentral_instance(rng: random.Random) -> Tree:
@@ -396,12 +365,11 @@ def _bicentral_instance(rng: random.Random) -> Tree:
     return Tree(nxt, edges)
 
 
-def _suite_c_transform(samples: int, seed: int) -> list[VerificationResult]:
-    rng = random.Random(seed)
-    violations: list[Tree] = []
-    kinds = {"C": 0, "Cprime": 0}
+def _suite_c_transform(rng: random.Random) -> _Instances:
+    """Every third accepted instance is bicentral; the tally counts plain
+    (C) anchors."""
     done = 0
-    while done < samples:
+    while True:
         if done % 3 == 2:
             t = _bicentral_instance(rng)
         else:
@@ -414,22 +382,14 @@ def _suite_c_transform(samples: int, seed: int) -> list[VerificationResult]:
         out, _ = c_transform(t, v)
         fb, sb = counting.subtree_totals(t)
         fa, sa = counting.subtree_totals(out)
-        ok = (fa > fb and sa > sb
-              and len(out.leaves()) == len(t.leaves())
-              and invariants.diameter(out) <= invariants.diameter(t))
-        kinds[kind] += 1
-        if not ok and not violations:
-            violations.append(t)
         done += 1
-    return _suite_result("L3.3", samples, seed, violations,
-                         f"{kinds['C']} plain instances, {kinds['Cprime']} bicenter instances")
+        yield t, (fa > fb and sa > sb
+                  and len(out.leaves()) == len(t.leaves())
+                  and invariants.diameter(out) <= invariants.diameter(t)), kind == "C"
 
 
-def _suite_leaf_deletion(samples: int, seed: int) -> list[VerificationResult]:
-    rng = random.Random(seed)
-    violations: list[Tree] = []
-    equalities = 0
-    for _ in range(samples):
+def _suite_leaf_deletion(rng: random.Random) -> _Instances:
+    while True:
         t = random_labeled_tree(rng.randint(3, 14), rng)
         u = rng.choice(t.leaves())
         sub, old_to_new = induced_subtree(t, (v for v in range(t.n) if v != u))
@@ -439,36 +399,29 @@ def _suite_leaf_deletion(samples: int, seed: int) -> list[VerificationResult]:
         is_path = max(len(a) for a in t.adj) <= 2
         f_t, fs_t = counting.anchored_counts(t)
         f_sub, fs_sub = counting.anchored_counts(sub)
+        equalities = 0
         for v, nv in old_to_new.items():
             ok = ok and f_sub[nv] < f_t[v]
             before, after = fs_t[v], fs_sub[nv]
             expect_equal = is_path and t.is_leaf(v) and v != u
-            if expect_equal:
-                equalities += 1
+            equalities += expect_equal
             ok = ok and after <= before and (after == before) == expect_equal
-        if not ok and not violations:
-            violations.append(t)
-    return _suite_result("leaf-deletion", samples, seed, violations,
-                         f"{equalities} anchored equality cases (path, opposite leaf)")
+        yield t, ok, equalities
 
 
-def _suite_pendant_edge(samples: int, seed: int) -> list[VerificationResult]:
-    rng = random.Random(seed)
-    violations: list[Tree] = []
+def _suite_pendant_edge(rng: random.Random) -> _Instances:
+    """Equality holds on the two-vertex tree, which is reported (ahead of
+    the draws) only when it fails."""
     k2 = Tree(2, [(0, 1)])
     f, fs = counting.anchored_counts(k2)
     if not (f[0] == f[1] and fs[0] == fs[1]):
-        violations.append(k2)
-    for _ in range(samples):
+        yield k2, False, 0
+    while True:
         t = random_labeled_tree(rng.randint(3, 16), rng)
         u = rng.choice(t.leaves())
         v = t.adj[u][0]
         f, fs = counting.anchored_counts(t)
-        ok = f[u] < f[v] and fs[u] < fs[v]
-        if not ok and not violations:
-            violations.append(t)
-    return _suite_result("pendant-edge", samples, seed, violations,
-                         "equality only on the two-vertex tree (checked)")
+        yield t, f[u] < f[v] and fs[u] < fs[v], 0
 
 
 def _attach_path_at(n: int, base_edges, w: int, k: int, i: int) -> Tree:
@@ -480,10 +433,8 @@ def _attach_path_at(n: int, base_edges, w: int, k: int, i: int) -> Tree:
     return Tree(n + k - 1, edges)
 
 
-def _suite_path_attachment(samples: int, seed: int) -> list[VerificationResult]:
-    rng = random.Random(seed)
-    violations: list[Tree] = []
-    for _ in range(samples):
+def _suite_path_attachment(rng: random.Random) -> _Instances:
+    while True:
         base = random_labeled_tree(rng.randint(2, 8), rng)
         w = rng.randrange(base.n)
         k = rng.randint(2, 8)
@@ -495,9 +446,7 @@ def _suite_path_attachment(samples: int, seed: int) -> list[VerificationResult]:
             ok = ok and fs[i] == fs[k - 1 - i] and gs[i] == gs[k - 1 - i]
         for i in range((k + 1) // 2 - 1):
             ok = ok and fs[i] < fs[i + 1] and gs[i] < gs[i + 1]
-        if not ok and not violations:
-            violations.append(series[0])
-    return _suite_result("path-attachment", samples, seed, violations, "")
+        yield series[0], ok, 0
 
 
 def _random_rooted(rng: random.Random, max_size: int = 4) -> tuple[Tree, int]:
@@ -567,11 +516,9 @@ def _comparison_instance(rng: random.Random):
     return Tree(nxt, edges), x, y, sides
 
 
-def _suite_path_comparison(samples: int, seed: int) -> list[VerificationResult]:
-    rng = random.Random(seed)
-    violations: list[Tree] = []
-    strict = 0
-    for _ in range(samples):
+def _suite_path_comparison(rng: random.Random) -> _Instances:
+    """The tally counts instances with a strictly dominating side."""
+    while True:
         w, x, y, sides = _comparison_instance(rng)
         any_strict = False
         for xt, xroot, yt, yroot in sides:
@@ -579,41 +526,55 @@ def _suite_path_comparison(samples: int, seed: int) -> list[VerificationResult]:
             fy = counting.count_subtrees_at(yt, yroot)
             if not (fx >= fy and _anchored_leaf_count(xt, xroot)
                     >= _anchored_leaf_count(yt, yroot)):
-                raise RuntimeError(f"path-comparison seed {seed}: the instance "
-                                   "generator broke the side-domination hypothesis")
+                raise _BrokenHypothesis("the instance generator broke the "
+                                        "side-domination hypothesis")
             if fx > fy:
                 any_strict = True
         f, fs = counting.anchored_counts(w)
         fwx, fwy, swx, swy = f[x], f[y], fs[x], fs[y]
-        ok = fwx >= fwy and swx >= swy
-        if any_strict:
-            strict += 1
-            ok = ok and fwx > fwy
+        ok = fwx >= fwy and swx >= swy and (not any_strict or fwx > fwy)
         # structural cross-check against the decomposition machinery
         dec = path_decomposition(w, x, y)
         ok = ok and [len(c.original_vertices) for c in dec.x_components] == \
             [xt.n for xt, _, _, _ in sides]
         ok = ok and [len(c.original_vertices) for c in dec.y_components] == \
             [yt.n for _, _, yt, _ in sides]
-        if not ok and not violations:
-            violations.append(w)
-    return _suite_result("path-comparison", samples, seed, violations,
-                         f"{strict} instances with a strictly dominating side")
+        yield w, ok, any_strict
+
+
+_SUITES = {
+    "L3.1": (_suite_a_transform, "{t} equality instances (branch already a pendant path)"),
+    "L3.2": (_suite_b_transform, ""),
+    "L3.3": (_suite_c_transform, "{t} plain instances, {r} bicenter instances"),
+    "leaf-deletion": (_suite_leaf_deletion,
+                      "{t} anchored equality cases (path, opposite leaf)"),
+    "pendant-edge": (_suite_pendant_edge, "equality only on the two-vertex tree (checked)"),
+    "path-attachment": (_suite_path_attachment, ""),
+    "path-comparison": (_suite_path_comparison,
+                        "{t} instances with a strictly dominating side"),
+}
+LEMMA_TAGS = tuple(_SUITES)
 
 
 def run_lemma_suite(tag: str, samples: int = 300, seed: int = 0) -> list[VerificationResult]:
-    """Run one sampled lemma suite; every instance must satisfy the lemma."""
+    """Run one sampled lemma suite; every instance must satisfy the lemma.
+    The notes fill the suite's template with t, the summed tally, and
+    r = samples - t."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    suites = {
-        "L3.1": _suite_a_transform,
-        "L3.2": _suite_b_transform,
-        "L3.3": _suite_c_transform,
-        "leaf-deletion": _suite_leaf_deletion,
-        "pendant-edge": _suite_pendant_edge,
-        "path-attachment": _suite_path_attachment,
-        "path-comparison": _suite_path_comparison,
-    }
-    if tag not in suites:
+    if tag not in _SUITES:
         raise UnknownTagError(f"unknown lemma tag {tag!r}")
-    return suites[tag](samples, seed)
+    suite, note = _SUITES[tag]
+    first, tally = None, 0
+    try:
+        for tree, holds, count in islice(suite(random.Random(seed)), samples):
+            tally += count
+            if not holds and first is None:
+                first = tree
+    except _BrokenHypothesis as err:
+        raise RuntimeError(f"{tag} seed {seed}: {err}") from err
+    return [VerificationResult(
+        theorem=tag, n=None, constraint={"samples": samples, "seed": seed},
+        claimed=None, achieved=None, extremizers=(), expected=None,
+        passed=first is None, counterexample=first,
+        notes=note.format(t=tally, r=samples - tally))]

@@ -95,6 +95,12 @@ class TestConstruct:
                                "--n", "5", "--q", "3")
         assert code == 2 and "construct" in err
 
+    @pytest.mark.parametrize("extra", [(), ("--closed-form", "F")])
+    def test_corona_conflicting_n_usage_error(self, capsys, extra):
+        code, out, err = run_cli(capsys, "construct", "--family", "corona_path",
+                                 "--m", "3", "--n", "100", *extra)
+        assert code == 2 and out == "" and "n=100" in err
+
 
 class TestTransform:
     def test_b_transform_delta(self, capsys, tmp_path):

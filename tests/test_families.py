@@ -51,6 +51,12 @@ class TestConstruct:
         hat = construct(FamilySpec("hat", n=5, d=2, k=2))
         assert is_isomorphic(hat, make_star(5))
 
+    def test_corona_takes_both_m_and_n_when_they_agree(self):
+        both = FamilySpec("corona_path", m=3, n=6)
+        assert construct(both).edges == construct(FamilySpec("corona_path", m=3)).edges
+        want = closed_form(FamilySpec("corona_path", n=6), "F").value
+        assert closed_form(both, "F").value == want
+
     def test_bad_params(self):
         for spec in INVALID_SPECS:
             with pytest.raises(BadParamsError):
@@ -72,6 +78,7 @@ INVALID_SPECS = (
     FamilySpec("corona_path", m=0),
     FamilySpec("corona_path"),
     FamilySpec("nosuch", n=3),
+    FamilySpec("corona_path", m=3, n=100),
 )
 
 # one member of each family, with the quantities that have a closed form

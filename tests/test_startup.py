@@ -60,6 +60,11 @@ class TestImports:
         assert "dataclasses" not in added
         assert "multiprocessing" not in added
 
+    def test_cli_import_loads_no_csv(self):
+        # only --csv output needs the csv module
+        added, _ = run_child()
+        assert "treecount.cli" in added and "csv" not in added
+
     def test_commands_without_a_pool_do_not_load_multiprocessing(self, p6_file):
         argvs = [
             ["count", "--input", p6_file],

@@ -4,6 +4,7 @@ import jsonschema
 import pytest
 
 from treecount import counting, invariants, verify
+from treecount.enumeration import _runs, all_trees, tree_record
 from treecount.families import FamilySpec, construct
 from treecount.schemas import VERIFICATION_SCHEMA
 from treecount.tree import Tree, canonical_form, serialize_tree
@@ -204,6 +205,10 @@ def _fstar_by_label(t):
     return _anchored(t)[0], list(range(t.n))
 
 
+def _uneven_on_k2(t):
+    return ([1, 2], [1, 2]) if t.n == 2 else _anchored(t)
+
+
 class TestBrokenCounterFailsEverySuite:
     """A counter that makes each lemma's inequality false must fail its
     suite, with the first instance drawn as the counterexample (pinned where
@@ -230,6 +235,7 @@ class TestBrokenCounterFailsEverySuite:
          "5\n0 2\n1 2\n2 3\n3 4\n"),
         ("path-comparison", "anchored_counts", _flat_anchored, None),
         ("path-comparison", "anchored_counts", _fstar_by_label, None),
+        ("pendant-edge", "anchored_counts", _uneven_on_k2, "2\n0 1\n"),
     ]
 
     @pytest.mark.parametrize("tag, helper, broken, first", CASES,
@@ -251,6 +257,87 @@ def test_path_comparison_hypothesis_check_is_not_an_assert(monkeypatch):
     monkeypatch.setattr(verify, "_grow", lambda t, root, rng, extra: (Tree(1, []), 0))
     with pytest.raises(RuntimeError, match="seed 5"):
         run_lemma_suite("path-comparison", samples=50, seed=5)
+
+
+class TestExtremumMerge:
+    """The scan, the shard merge and the renaming to canonical sequences keep
+    every tied extremizer.  The catalog has no tie up to n = 14, so a
+    test-only statement (most leaves, largest matching, per diameter class)
+    supplies them."""
+
+    QUANTITIES = ("leaves", "matching")
+
+    def test_ties_survive_every_sharding(self, monkeypatch):
+        th = verify._Theorem(keys=lambda r: (r.diameter,), quantities=self.QUANTITIES,
+                             extremum="max", classes=lambda n: [], unique=False,
+                             default_range=(3, 10), min_order=3)
+        monkeypatch.setitem(verify._THEOREMS, "ties", th)
+        tied = 0
+        for n in range(3, 11):
+            classes: dict = {}
+            for t in all_trees(n):
+                seq = canonical_form(t).level_seq
+                rec = tree_record(seq)
+                classes.setdefault(rec.diameter, []).append((seq, rec))
+            want = {}
+            for key, members in classes.items():
+                want[key] = {}
+                for qty in self.QUANTITIES:
+                    top = max(getattr(rec, qty) for _, rec in members)
+                    want[key][qty] = [top, {seq for seq, rec in members
+                                            if getattr(rec, qty) == top}]
+                    tied += len(want[key][qty][1]) > 1
+            for w in (1, 2, 3):
+                parts = [verify._scan_shard("ties", _runs(n, s, w)) for s in range(w)]
+                agg, counts = verify._reduce(th, parts)
+                assert agg == want, (n, w)
+                assert counts == {key: len(m) for key, m in classes.items()}, (n, w)
+        assert tied == 36  # tied (order, class, quantity) cells, each under three shardings
+
+
+# the direction of each theorem's extremum, read off its statement
+_EXTREMUM = {"T4.1": "max", "T4.2": "max", "T4.3": "min", "T4.4": "min", "T4.5": "min",
+             "T4.6": "min", "T4.7": "max", "T4.8": "max"}
+
+_IN_CLASS = {
+    "q": lambda prof, v: prof.matching == v,
+    "gamma": lambda prof, v: prof.domination == v,
+    "min_max_degree": lambda prof, v: prof.max_degree >= v,
+    "perfect_matching": lambda prof, v: prof.has_perfect_matching == v,
+    "leaves": lambda prof, v: prof.leaf_count == v,
+    "d": lambda prof, v: prof.diameter == v,
+}
+
+
+class TestExtremizerSets:
+    """Every extremal row equals the Tree route: the class, its extremum and
+    the full set of extremizers from subtree_totals, invariant_profile and
+    canonical_form over every tree of the order."""
+
+    @pytest.fixture(scope="class")
+    def trees(self):
+        return {n: [(canonical_form(t).level_seq, counting.subtree_totals(t),
+                     invariants.invariant_profile(t)) for t in all_trees(n)]
+                for n in range(3, 12)}
+
+    @pytest.mark.parametrize("tag", THEOREM_TAGS)
+    def test_rows_match_tree_route(self, tag, trees):
+        rows = verify_theorem(tag, n_min=3, n_max=11)
+        for r in rows:
+            if r.constraint.get("check"):  # T4.8's formula-vs-count row
+                continue
+            members = [(seq, totals) for seq, totals, prof in trees[r.n]
+                       if all(_IN_CLASS[k](prof, v) for k, v in r.constraint.items()
+                              if k in _IN_CLASS)]
+            if not r.class_size:
+                assert not members and r.achieved is None and not r.extremizers, r
+                continue
+            which = ("F", "Fstar").index(r.constraint["quantity"])
+            pick = {"max": max, "min": min}[r.constraint.get("extremum") or _EXTREMUM[tag]]
+            top = pick(totals[which] for _, totals in members)
+            assert (r.achieved, r.class_size) == (top, len(members)), r
+            assert [c.level_seq for c in r.extremizers] == \
+                sorted(seq for seq, totals in members if totals[which] == top), r
 
 
 class TestClassSizes:
