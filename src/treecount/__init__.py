@@ -15,7 +15,6 @@ from .families import ClosedForm, FamilySpec, closed_form, construct
 from .invariants import (InvariantProfile, domination_number, has_perfect_matching,
                          invariant_profile, matching_number, maximum_matching,
                          minimum_dominating_set, perfect_matching_edges)
-from .oracle import oracle_counts, oracle_pair_count
 from .transforms import (TransformSpec, a_transform, apply_transform, b_transform,
                          c_anchors, c_transform)
 from .tree import (CanonicalForm, PathDecomposition, RootedComponent, Tree,
@@ -43,3 +42,11 @@ __all__ = [
     "tree_from_level_sequence", "trees_matching", "verify_theorem",
     "wiener_index",
 ]
+
+
+def __getattr__(name: str):
+    # the brute-force oracle is loaded on first use, since no command needs it
+    if name in ("oracle_counts", "oracle_pair_count"):
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,7 +18,7 @@ import os
 import random
 from itertools import chain
 from operator import add
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .tree import Tree, tree_from_level_sequence
 
@@ -75,6 +75,10 @@ def _run(start: list, end: int) -> Iterator[tuple[int, ...]]:
     ends at position ``end``; leaves the next run's first sequence (None
     after the star, the last tree) in ``start[0]``."""
     seq = start[0]
+    # (height, size, sequence) of the run's first principal subtree: a
+    # successor that keeps it is a free-tree sequence iff its rest is no smaller
+    left = [d - 1 for d in seq[1:end + 1]]
+    first = (max(left, default=0), end, left)
     while True:
         yield tuple(seq)
         p = len(seq) - 1
@@ -83,11 +87,13 @@ def _run(start: list, end: int) -> Iterator[tuple[int, ...]]:
         if p == 0:
             start[0] = None
             return
-        candidate = _next_rooted(seq, p)
-        seq = _next_free(candidate)
-        # the successor rewrote the first principal subtree, or the check jumped past it
-        if p <= end or seq is not candidate:
-            start[0] = seq
+        seq = _next_rooted(seq, p)
+        if p <= end:   # the successor rewrote the first principal subtree
+            start[0] = _next_free(seq)
+            return
+        rest = [0, *seq[end + 1:]]
+        if (max(rest), len(rest), rest) < first:
+            start[0] = _jump(seq, end)
             return
 
 
@@ -210,10 +216,11 @@ def map_shards(fn: Callable[[object, Iterator[Iterator[tuple[int, ...]]]], _R], 
     for n in orders]`` with ``w = min(jobs, os.cpu_count())``.
 
     Shard s gets runs s, s + w, s + 2w, ... (see ``_runs``); merge_runs puts
-    per-run results back in generation order.  With ``w > 1`` every
-    (order, shard) task of the call runs in one pool of w forked workers,
-    largest order first; ``fn`` must then be a module-level function, and
-    ``arg`` and the results must pickle.
+    per-run results back in generation order.  This process computes shard
+    0 of every order; each other shard is one forked child that computes its
+    shard of every order and sends back the list, or the exception ``fn``
+    raised, through its own pipe, so with ``w > 1`` both must pickle.  On any
+    error every child still running is killed and reaped before it is raised.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -221,22 +228,60 @@ def map_shards(fn: Callable[[object, Iterator[Iterator[tuple[int, ...]]]], _R], 
         if n < 1 or n > MAX_ORDER:
             raise TooLargeError(f"order {n} outside 1..{MAX_ORDER}")
     shards = min(jobs, os.cpu_count() or 1)
-    ordered = sorted(orders, reverse=True)
-    tasks = [(fn, arg, n, shard, shards) for n in ordered for shard in range(shards)]
-    if shards == 1:
-        results = [_run_shard(task) for task in tasks]
-    else:
-        # loaded here, so that a command which starts no pool does not load it
-        import multiprocessing
-        with multiprocessing.get_context("fork").Pool(shards) as pool:
-            results = pool.map(_run_shard, tasks, chunksize=1)
-    by_order = {n: results[i * shards:(i + 1) * shards] for i, n in enumerate(ordered)}
-    return [by_order[n] for n in orders]
+    children = {}   # pid -> read end of its pipe, for every child not yet reaped
+    try:
+        for shard in range(1, shards):
+            pid, pipe = _fork_shard(fn, arg, orders, shard, shards)
+            children[pid] = pipe
+        parts = [[fn(arg, _runs(n, 0, shards))] for n in orders]
+        for shard, pid in enumerate(list(children), 1):
+            with children[pid] as pipe:
+                data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if not data:
+                raise RuntimeError(f"shard {shard} of {shards} ended with no result "
+                                   f"(exit status {status})")
+            import pickle
+            ok, result = pickle.loads(data)
+            if not ok:
+                raise result
+            for order_parts, part in zip(parts, result):
+                order_parts.append(part)
+    finally:
+        # only an error leaves a child unreaped here
+        for pid, pipe in children.items():
+            from signal import SIGKILL
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+    return parts
 
 
-def _run_shard(task: tuple) -> object:
-    fn, arg, n, shard, shards = task
-    return fn(arg, _runs(n, shard, shards))
+def _fork_shard(fn: Callable, arg: object, orders: Sequence[int], shard: int,
+                shards: int) -> tuple[int, BinaryIO]:
+    """Fork a child that pickles ``(True, results)`` or ``(False, exception)``
+    for this shard of every order into a pipe; (its pid, the read end)."""
+    # loaded here, so that a command which forks nothing does not load it
+    import pickle
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # the child never returns into the caller's stack and flushes none of
+        # its buffers; it leaves with status 1 and nothing written on failure
+        try:
+            os.close(read_end)
+            try:
+                reply = (True, [fn(arg, _runs(n, shard, shards)) for n in orders])
+            except Exception as exc:
+                reply = (False, exc)
+            with open(write_end, "wb") as pipe:
+                pipe.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
 
 
 class TreeConstraint(NamedTuple):

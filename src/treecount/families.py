@@ -36,10 +36,14 @@ from typing import NamedTuple
 
 from .tree import Tree
 
-FAMILIES = (
-    "path", "star", "a_nq", "pk_ab", "corona_path",
-    "t_ndelta", "tprime_ndelta", "spider", "hat",
-)
+# each family with the FamilySpec fields it reads (hat's k is optional, and
+# corona_path takes m, or n = 2m, or both)
+_PARAMS = {
+    "path": ("n",), "star": ("n",), "a_nq": ("n", "q"), "pk_ab": ("k", "a", "b"),
+    "corona_path": ("m", "n"), "t_ndelta": ("n", "delta"),
+    "tprime_ndelta": ("n", "delta"), "spider": ("n", "k"), "hat": ("n", "d", "k"),
+}
+FAMILIES = tuple(_PARAMS)
 
 FORMULA_DISPLAY = {
     "T4.1": "Theorem 4.1",
@@ -110,6 +114,13 @@ def _check_params(spec: FamilySpec) -> tuple[int, ...]:
     """The family's parameters in builder order, checked against its
     constraints, so that a tree and a closed form reject a spec alike."""
     fam = spec.family
+    if fam not in _PARAMS:
+        raise BadParamsError(f"unknown family {fam!r}")
+    unread = [name for name in FamilySpec._fields[1:]
+              if getattr(spec, name) is not None and name not in _PARAMS[fam]]
+    if unread:
+        raise BadParamsError(f"family {fam!r} does not take "
+                             + ", ".join(map(repr, unread)))
     if fam in ("path", "star"):
         (n,) = _need(spec, "n")
         if n < 1:
@@ -155,7 +166,6 @@ def _check_params(spec: FamilySpec) -> tuple[int, ...]:
         if not (1 <= k <= d + 1):
             raise BadParamsError(f"hat needs 1 <= k <= d+1, got k={k}, d={d}")
         return n, d, k
-    raise BadParamsError(f"unknown family {fam!r}")
 
 
 def _build_path(n: int) -> Tree:

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -59,3 +60,19 @@ def dfs_rooted(t: Tree) -> Tree:
 @pytest.fixture
 def rng():
     return random.Random(20240331)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children ``os.fork`` starts in this process."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids

@@ -101,6 +101,14 @@ class TestConstruct:
                                  "--m", "3", "--n", "100", *extra)
         assert code == 2 and out == "" and "n=100" in err
 
+    @pytest.mark.parametrize("argv, named", [
+        (("--family", "path", "--n", "4", "--q", "3", "--delta", "9"), "'q', 'delta'"),
+        (("--family", "star", "--n", "4", "--m", "7", "--closed-form", "F"), "'m'"),
+    ])
+    def test_unread_parameter_usage_error(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, "construct", *argv)
+        assert code == 2 and out == "" and named in err
+
 
 class TestTransform:
     def test_b_transform_delta(self, capsys, tmp_path):

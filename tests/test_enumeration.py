@@ -1,5 +1,7 @@
 import hashlib
+import os
 import random
+import time
 
 import pytest
 
@@ -128,6 +130,67 @@ class TestSharding:
         for jobs in (0, -1):
             with pytest.raises(ValueError):
                 map_shards(_listed, None, [5], jobs)
+
+
+def _fail_in_child(parent, runs):
+    if os.getpid() != parent:
+        raise ArithmeticError(f"shard of {parent} failed")
+    return _listed(None, runs)
+
+
+def _vanish_in_child(parent, runs):
+    if os.getpid() != parent:
+        os._exit(3)
+    return _listed(None, runs)
+
+
+def _fail_here_and_stall_in_child(parent, runs):
+    if os.getpid() == parent:
+        raise ArithmeticError("shard 0 failed")
+    time.sleep(60)
+    return _listed(None, runs)
+
+
+class TestForkJoin:
+    """Shard 0 runs in the caller and every other shard in one forked child;
+    an error anywhere leaves no child behind."""
+
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+
+    def assert_reaped(self, pids):
+        for pid in pids:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_one_child_per_extra_shard(self, forks):
+        orders = [3, 9, 12]
+        got = map_shards(_listed, None, orders, 3)
+        assert len(forks) == 2
+        self.assert_reaped(forks)
+        for n, parts in zip(orders, got):
+            assert parts == [_listed(None, _runs(n, s, 3)) for s in range(3)]
+
+    def test_error_in_a_child_reaches_the_caller(self, forks):
+        with pytest.raises(ArithmeticError, match=f"^shard of {os.getpid()} failed$"):
+            map_shards(_fail_in_child, os.getpid(), [8, 10], 3)
+        assert len(forks) == 2
+        self.assert_reaped(forks)
+
+    def test_child_without_a_result(self, forks):
+        with pytest.raises(RuntimeError, match="ended with no result"):
+            map_shards(_vanish_in_child, os.getpid(), [8], 2)
+        assert len(forks) == 1
+        self.assert_reaped(forks)
+
+    def test_error_in_shard_0_kills_the_children(self, forks):
+        start = time.monotonic()
+        with pytest.raises(ArithmeticError, match="^shard 0 failed$"):
+            map_shards(_fail_here_and_stall_in_child, os.getpid(), [8], 3)
+        assert time.monotonic() - start < 30  # the children sleep for 60 s
+        assert len(forks) == 2
+        self.assert_reaped(forks)
 
 
 class TestConstraints:

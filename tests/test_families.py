@@ -107,6 +107,24 @@ class TestParamChecks:
                 closed_form(spec, which)
             assert str(formula.value) == str(built.value)
 
+    @pytest.mark.parametrize("spec", [spec for spec, _ in VALID_SPECS],
+                             ids=lambda spec: spec.family)
+    def test_unread_parameters_are_refused(self, spec):
+        read = {name for name in spec._fields[1:] if getattr(spec, name) is not None}
+        # hat's k is optional, and corona_path takes m and n = 2m together
+        read |= {"hat": {"k"}, "corona_path": {"m", "n"}}.get(spec.family, set())
+        unread = [name for name in spec._fields[1:] if name not in read]
+        assert unread
+        for name in unread:
+            bad = spec._replace(**{name: 7})
+            with pytest.raises(BadParamsError, match=f"does not take '{name}'$"):
+                construct(bad)
+            for which in ("F", "Fstar"):
+                with pytest.raises(BadParamsError, match=f"does not take '{name}'$"):
+                    closed_form(bad, which)
+        with pytest.raises(BadParamsError, match=", ".join(map(repr, unread)) + "$"):
+            construct(spec._replace(**dict.fromkeys(unread, 7)))
+
     def test_every_family_covered(self):
         assert sorted(spec.family for spec, _ in VALID_SPECS) == sorted(FAMILIES)
 

@@ -83,13 +83,19 @@ class TestImports:
             assert code == 0 and out and not err, argv
             assert not loaded, argv
 
-    def test_a_pool_loads_multiprocessing_and_changes_nothing(self):
+    def test_parallel_shards_load_no_multiprocessing_and_change_nothing(self):
         serial = ["verify", "--theorem", "T4.1", "--n-max", "8", "--jobs", "1"]
-        pooled = serial[:-1] + ["2"]
-        _, (one, two) = run_child(serial, pooled)
-        assert (one[1], two[1]) == (False, True)
+        parallel = serial[:-1] + ["2"]
+        _, (one, two) = run_child(serial, parallel)
+        assert (one[1], two[1]) == (False, False)
         assert one[2] == 0 and one[4] == ""
         assert two[2:] == [0, one[3].replace("jobs=1", "jobs=2"), ""]
+
+    def test_cli_import_loads_no_oracle_or_pickle(self):
+        # no command uses the brute-force oracle, and only a forked shard pickles
+        added, _ = run_child()
+        assert "treecount.cli" in added
+        assert "treecount.oracle" not in added and "pickle" not in added
 
 
 class TestClosedPipe:

@@ -101,24 +101,18 @@ class TestDeterminismAndSerialization:
         c = [r.to_json_dict() for r in verify_theorem(tag, n_min=6, n_max=9, jobs=3)]
         assert a and json.dumps(a) == json.dumps(b) == json.dumps(c)
 
-    def test_pool_is_one_per_call_and_capped_by_cpus(self, monkeypatch):
-        from multiprocessing.context import BaseContext
-        sizes = []
-        make_pool = BaseContext.Pool
-
-        def recording_pool(self, processes=None, *args, **kwargs):
-            sizes.append(processes)
-            return make_pool(self, processes, *args, **kwargs)
-
-        monkeypatch.setattr(BaseContext, "Pool", recording_pool)
+    def test_one_fork_per_extra_shard_capped_by_cpus(self, monkeypatch, forks):
         want = [r.to_json_dict() for r in verify_theorem("T4.7", n_min=5, n_max=9, jobs=1)]
-        assert sizes == []
+        assert forks == []
         monkeypatch.setattr("os.cpu_count", lambda: 1)
         assert [r.to_json_dict() for r in verify_theorem("T4.7", n_min=5, n_max=9, jobs=3)] == want
-        assert sizes == []  # one CPU: one shard per order, run in this process
+        assert forks == []  # one CPU: one shard per order, run in this process
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         assert [r.to_json_dict() for r in verify_theorem("T4.7", n_min=5, n_max=9, jobs=3)] == want
-        assert sizes == [2]  # five orders, two shards each, one pool
+        assert len(forks) == 1  # five orders, two shards each: one child runs shard 1
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        assert [r.to_json_dict() for r in verify_theorem("T4.7", n_min=5, n_max=9, jobs=3)] == want
+        assert len(forks) == 3  # and then one child each for shards 1 and 2
 
     def test_report_schema(self):
         rows = verify_theorem("T4.8", n_min=3, n_max=5, formula_variant="product")
