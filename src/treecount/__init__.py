@@ -13,8 +13,7 @@ from .enumeration import (TreeConstraint, all_trees, random_labeled_tree,
                           tree_from_prufer, trees_matching)
 from .families import ClosedForm, FamilySpec, closed_form, construct
 from .invariants import (InvariantProfile, domination_number, has_perfect_matching,
-                         invariant_profile, matching_number, maximum_matching,
-                         minimum_dominating_set, perfect_matching_edges)
+                         invariant_profile, matching_number)
 from .transforms import (TransformSpec, a_transform, apply_transform, b_transform,
                          c_anchors, c_transform)
 from .tree import (CanonicalForm, PathDecomposition, RootedComponent, Tree,
@@ -34,13 +33,11 @@ __all__ = [
     "count_leaf_subtrees_at", "count_report", "count_subtrees",
     "count_subtrees_at", "count_subtrees_at_pair", "domination_number",
     "has_perfect_matching", "invariant_profile", "is_isomorphic",
-    "matching_number", "maximum_matching", "minimum_dominating_set",
-    "oracle_counts", "oracle_pair_count", "parse_tree", "path_between",
-    "path_decomposition", "perfect_matching_edges", "random_labeled_tree",
+    "matching_number", "oracle_counts", "oracle_pair_count", "parse_tree",
+    "path_between", "path_decomposition", "random_labeled_tree",
     "run_lemma_suite", "serialize_tree", "strip_leaves", "subtree_totals",
-    "tree_from_prufer",
-    "tree_from_level_sequence", "trees_matching", "verify_theorem",
-    "wiener_index",
+    "tree_from_prufer", "tree_from_level_sequence", "trees_matching",
+    "verify_theorem", "wiener_index",
 ]
 
 

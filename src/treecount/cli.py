@@ -38,12 +38,14 @@ def _dump(obj) -> str:
     return json.dumps(obj, separators=(", ", ": "))
 
 
-def _add_io_args(p: argparse.ArgumentParser) -> None:
+def _add_io_args(p: argparse.ArgumentParser):
+    """--input, --format and --json; returns --json's exclusive group, for --csv."""
     p.add_argument("--input", required=True, help="tree file, or - for stdin")
     p.add_argument("--format", choices=("edgelist", "levelseq"), default="edgelist",
                    help="tree text format (default edgelist)")
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p.add_argument("--csv", action="store_true", help="emit CSV instead of text")
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -55,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="subtree counts and Wiener index of one tree")
-    _add_io_args(p)
+    _add_io_args(p).add_argument("--csv", action="store_true", help="emit CSV instead of text")
 
     p = sub.add_parser("construct", help="build a named extremal family member")
     p.add_argument("--family", required=True, choices=FAMILIES)
@@ -80,8 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--leaves", type=int)
     p.add_argument("--min-max-degree", type=int)
     p.add_argument("--perfect-matching", action="store_true", default=None)
-    p.add_argument("--count-only", action="store_true")
-    p.add_argument("--csv", action="store_true")
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--count-only", action="store_true")
+    out.add_argument("--csv", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("verify", help="check a theorem exhaustively or run a lemma suite")
@@ -99,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("profile", help="matching/domination/diameter/leaf profile")
-    _add_io_args(p)
+    _add_io_args(p).add_argument("--csv", action="store_true", help="emit CSV instead of text")
 
     return parser
 

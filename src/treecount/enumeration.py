@@ -264,15 +264,23 @@ def _fork_shard(fn: Callable, arg: object, orders: Sequence[int], shard: int,
     for this shard of every order into a pipe; (its pid, the read end)."""
     # loaded here, so that a command which forks nothing does not load it
     import pickle
+    caller = os.getpid()
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
         # the child never returns into the caller's stack and flushes none of
-        # its buffers; it leaves with status 1 and nothing written on failure
+        # its buffers; it leaves with status 1 and nothing written on failure,
+        # and before a run once the caller has gone (it has a new parent then)
+        def runs(n):
+            for run in _runs(n, shard, shards):
+                if os.getppid() != caller:
+                    os._exit(1)
+                yield run
+
         try:
             os.close(read_end)
             try:
-                reply = (True, [fn(arg, _runs(n, shard, shards)) for n in orders])
+                reply = (True, [fn(arg, runs(n)) for n in orders])
             except Exception as exc:
                 reply = (False, exc)
             with open(write_end, "wb") as pipe:

@@ -275,36 +275,3 @@ def brute_domination(t: Tree) -> int:
         if cover == full:
             best = size
     return best
-
-
-def brute_optimal_dominating_sets(t: Tree) -> list[tuple[int, ...]]:
-    """All minimum dominating sets, each as a sorted vertex tuple."""
-    gamma = brute_domination(t)
-    full = (1 << t.n) - 1
-    closed = [(1 << v) | sum(1 << w for w in t.adj[v]) for v in range(t.n)]
-    out = []
-    for combo in itertools.combinations(range(t.n), gamma):
-        cover = 0
-        for v in combo:
-            cover |= closed[v]
-        if cover == full:
-            out.append(combo)
-    return out
-
-
-def brute_maximum_matchings(t: Tree) -> list[tuple[tuple[int, int], ...]]:
-    """All maximum matchings, each as a sorted edge tuple."""
-    q = brute_matching(t)
-    out = []
-    for combo in itertools.combinations(t.edges, q):
-        used = 0
-        ok = True
-        for u, v in combo:
-            bit = (1 << u) | (1 << v)
-            if used & bit:
-                ok = False
-                break
-            used |= bit
-        if ok:
-            out.append(tuple(sorted(combo)))
-    return out

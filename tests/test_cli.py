@@ -308,3 +308,24 @@ class TestProfile:
     def test_human(self, capsys, p5_file):
         code, out, _ = run_cli(capsys, "profile", "--input", p5_file)
         assert code == 0 and "matching = 2" in out
+
+
+class TestOutputFlagsNotHonoured:
+    """An output flag that a command would ignore is a usage error."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["transform", "--kind", "B", "--u", "1", "--v", "2", "--csv"], "--csv"),
+        (["count", "--json", "--csv"], "not allowed with argument --json"),
+        (["count", "--csv", "--json"], "not allowed with argument --csv"),
+        (["profile", "--json", "--csv"], "not allowed with argument --json"),
+        (["profile", "--csv", "--json"], "not allowed with argument --csv"),
+        (["enumerate", "--n", "5", "--count-only", "--csv"],
+         "not allowed with argument --count-only"),
+    ])
+    def test_refused(self, capsys, p5_file, argv, named):
+        if argv[0] != "enumerate":
+            argv = [argv[0], "--input", p5_file, *argv[1:]]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and out == "" and named in err

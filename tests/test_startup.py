@@ -1,12 +1,14 @@
-"""What a command loads at start-up, and how it ends when the reader of its
-stdout goes away.  Each check runs in a fresh interpreter, since pytest has
-long since loaded modules (``dataclasses`` among them) that the package
-itself must not need."""
+"""What a command loads at start-up, how it ends when the reader of its
+stdout goes away, and that its forked shards end when it is killed.  Each
+check runs in a fresh interpreter, since pytest has long since loaded
+modules (``dataclasses`` among them) that the package itself must not need."""
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -121,3 +123,55 @@ class TestClosedPipe:
         # verify writes its report only at the end, so the pipe is closed first
         proc = self.start("verify", "--theorem", "T4.1", "--n-max", "10")
         assert self.finish(proc) == (141, b"")
+
+
+# Runs map_shards over two shards of order 14 (303 runs) with an fn that
+# prints its process id and then takes 50 ms per run, about 7 s per shard.
+SLOW_CALLER = r"""
+import os, time
+from treecount.enumeration import map_shards
+os.cpu_count = lambda: 2
+
+def slow(_, runs):
+    os.write(1, b"%d\n" % os.getpid())
+    for run in runs:
+        time.sleep(0.05)
+        for _ in run:
+            pass
+    return 0
+
+map_shards(slow, None, [14], 2)
+"""
+
+
+def running(pid: int) -> bool:
+    """Whether pid names a live process: neither gone nor a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads the state of a process in /proc")
+class TestKilledCaller:
+    def test_forked_shard_ends_with_its_caller(self):
+        proc = subprocess.Popen([sys.executable, "-c", SLOW_CALLER],
+                                stdout=subprocess.PIPE, env=child_env())
+        shard = None
+        try:
+            pids = {int(proc.stdout.readline()) for _ in range(2)}
+            shard, = pids - {proc.pid}
+            assert running(shard)
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 1
+            while running(shard) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not running(shard)
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+            proc.stdout.close()
+            if shard is not None and running(shard):
+                os.kill(shard, signal.SIGKILL)
