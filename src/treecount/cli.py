@@ -61,8 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a named extremal family member")
     p.add_argument("--family", required=True, choices=FAMILIES)
-    for flag in ("n", "q", "k", "a", "b", "delta", "d", "m"):
-        p.add_argument(f"--{flag}", type=int)
+    for field in FamilySpec._fields[1:]:
+        p.add_argument(f"--{field}", type=int)
     p.add_argument("--closed-form", choices=("F", "Fstar"),
                    help="print the closed-form count instead of the tree")
     p.add_argument("--format", choices=("edgelist", "levelseq"), default="edgelist")
@@ -76,12 +76,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="all non-isomorphic trees of one order")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--matching", type=int)
-    p.add_argument("--domination", type=int)
-    p.add_argument("--diameter", type=int)
-    p.add_argument("--leaves", type=int)
-    p.add_argument("--min-max-degree", type=int)
-    p.add_argument("--perfect-matching", action="store_true", default=None)
+    for field in TreeConstraint._fields:
+        flag = "--" + field.replace("_", "-")
+        if field == "perfect_matching":
+            p.add_argument(flag, action="store_true", default=None)
+        else:
+            p.add_argument(flag, type=int)
     out = p.add_mutually_exclusive_group()
     out.add_argument("--count-only", action="store_true")
     out.add_argument("--csv", action="store_true")
@@ -135,8 +135,7 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    spec = FamilySpec(family=args.family, n=args.n, q=args.q, k=args.k, a=args.a,
-                      b=args.b, delta=args.delta, d=args.d, m=args.m)
+    spec = FamilySpec(*(getattr(args, field) for field in FamilySpec._fields))
     if args.closed_form:
         form = closed_form(spec, args.closed_form)
         print(f"{form.value} ({FORMULA_DISPLAY[form.formula_id]})")
@@ -177,10 +176,7 @@ def _count_admitted(constraint: TreeConstraint, runs) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    constraint = TreeConstraint(
-        matching=args.matching, domination=args.domination, diameter=args.diameter,
-        leaves=args.leaves, min_max_degree=args.min_max_degree,
-        perfect_matching=args.perfect_matching)
+    constraint = TreeConstraint(*(getattr(args, field) for field in TreeConstraint._fields))
     if args.count_only:
         counts, = map_shards(_count_admitted, constraint, [args.n], args.jobs)
         print(sum(counts))

@@ -23,6 +23,12 @@ Families (``FamilySpec.family``):
 * ``hat`` -- path on d+1 vertices with n-d-1 pendants at position k; the
   diameter-class extremal tree (tag T4.8).
 
+Every family is a path with legs: one table row per family gives its shape
+as ``(base, [(at, length, count), ...])``, the path on vertices 0..base-1
+with ``count`` legs of ``length`` vertices hung at path vertex ``at``, and
+one builder emits it, the legs taking the next labels in the order listed
+(a star is ``(1, [(0, 1, n-1)])``, a hat ``(d+1, [(k-1, 1, n-d-1)])``).
+
 The displayed count for ``hat`` carries its two single-leg binomial terms as
 a sum; evaluating them as a product instead (selectable via
 ``binomial_term="product"``) is wrong already at n=3, d=2 and is kept only so
@@ -36,14 +42,34 @@ from typing import NamedTuple
 
 from .tree import Tree
 
-# each family with the FamilySpec fields it reads (hat's k is optional, and
-# corona_path takes m, or n = 2m, or both)
-_PARAMS = {
-    "path": ("n",), "star": ("n",), "a_nq": ("n", "q"), "pk_ab": ("k", "a", "b"),
-    "corona_path": ("m", "n"), "t_ndelta": ("n", "delta"),
-    "tprime_ndelta": ("n", "delta"), "spider": ("n", "k"), "hat": ("n", "d", "k"),
+
+def _spider_legs(n: int, k: int) -> tuple[int, int, int, int]:
+    """(short length, long length, #short, #long) of the balanced spider."""
+    lo, j = divmod(n - 1, k)
+    return lo, lo + 1, k - j, j
+
+
+def _spider_shape(n: int, k: int):
+    lo, hi, i, j = _spider_legs(n, k)
+    return 1, [(0, lo, i), (0, hi, j)]
+
+
+# each family: the FamilySpec fields it reads (hat's k is optional, and
+# corona_path takes m, or n = 2m, or both), and its shape from the checked
+# parameters, as _legged_path reads it
+_SHAPES = {
+    "path": (("n",), lambda n: (n, [])),
+    "star": (("n",), lambda n: (1, [(0, 1, n - 1)])),
+    "a_nq": (("n", "q"), lambda n, q: (1, [(0, 1, n - 2 * q + 1), (0, 2, q - 1)])),
+    "pk_ab": (("k", "a", "b"), lambda k, a, b: (k, [(0, 1, a), (k - 1, 1, b)])),
+    "corona_path": (("m", "n"), lambda m: (m, [(i, 1, 1) for i in range(m)])),
+    "t_ndelta": (("n", "delta"), lambda n, delta: (n - delta + 1, [(0, 1, delta - 1)])),
+    "tprime_ndelta": (("n", "delta"), lambda n, delta: (
+        n - 2 * delta + 3, [(0, 1, 1), (0, 2, delta - 2)])),
+    "spider": (("n", "k"), _spider_shape),
+    "hat": (("n", "d", "k"), lambda n, d, k: (d + 1, [(k - 1, 1, n - d - 1)])),
 }
-FAMILIES = tuple(_PARAMS)
+FAMILIES = tuple(_SHAPES)
 
 FORMULA_DISPLAY = {
     "T4.1": "Theorem 4.1",
@@ -114,10 +140,10 @@ def _check_params(spec: FamilySpec) -> tuple[int, ...]:
     """The family's parameters in builder order, checked against its
     constraints, so that a tree and a closed form reject a spec alike."""
     fam = spec.family
-    if fam not in _PARAMS:
+    if fam not in _SHAPES:
         raise BadParamsError(f"unknown family {fam!r}")
     unread = [name for name in FamilySpec._fields[1:]
-              if getattr(spec, name) is not None and name not in _PARAMS[fam]]
+              if getattr(spec, name) is not None and name not in _SHAPES[fam][0]]
     if unread:
         raise BadParamsError(f"family {fam!r} does not take "
                              + ", ".join(map(repr, unread)))
@@ -168,103 +194,25 @@ def _check_params(spec: FamilySpec) -> tuple[int, ...]:
         return n, d, k
 
 
-def _build_path(n: int) -> Tree:
-    return Tree(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def _build_star(n: int) -> Tree:
-    return Tree(n, [(0, i) for i in range(1, n)])
-
-
-def _build_a_nq(n: int, q: int) -> Tree:
-    edges = []
-    nxt = 1
-    for _ in range(n - 2 * q + 1):     # pendant edges at the hub
-        edges.append((0, nxt))
-        nxt += 1
-    for _ in range(q - 1):             # two-edge legs at the hub
-        edges.append((0, nxt))
-        edges.append((nxt, nxt + 1))
-        nxt += 2
-    return Tree(n, edges)
-
-
-def _build_pk_ab(k: int, a: int, b: int) -> Tree:
-    n = k + a + b
-    edges = [(i, i + 1) for i in range(k - 1)]
-    nxt = k
-    for _ in range(a):
-        edges.append((0, nxt))
-        nxt += 1
-    for _ in range(b):
-        edges.append((k - 1, nxt))
-        nxt += 1
-    return Tree(n, edges)
-
-
-def _build_corona_path(m: int) -> Tree:
-    edges = [(i, i + 1) for i in range(m - 1)]
-    edges += [(i, m + i) for i in range(m)]
-    return Tree(2 * m, edges)
-
-
-def _build_t_ndelta(n: int, delta: int) -> Tree:
-    tail = n - delta + 1               # handle length, hub at vertex 0
-    edges = [(i, i + 1) for i in range(tail - 1)]
-    edges += [(0, tail + i) for i in range(delta - 1)]
-    return Tree(n, edges)
-
-
-def _build_tprime_ndelta(n: int, delta: int) -> Tree:
-    base = n - 2 * delta + 3           # base path, hub at vertex 0
+def _legged_path(base: int, legs) -> Tree:
+    """The path with legs of one shape (see the module docstring); each leg's
+    labels rise outwards from its path vertex."""
     edges = [(i, i + 1) for i in range(base - 1)]
     nxt = base
-    edges.append((0, nxt))             # the single pendant
-    nxt += 1
-    for _ in range(delta - 2):         # two-edge legs
-        edges.append((0, nxt))
-        edges.append((nxt, nxt + 1))
-        nxt += 2
-    return Tree(n, edges)
-
-
-def _spider_legs(n: int, k: int) -> tuple[int, int, int, int]:
-    """(short length, long length, #short, #long) of the balanced spider."""
-    lo, j = divmod(n - 1, k)
-    return lo, lo + 1, k - j, j
-
-
-def _build_spider(n: int, k: int) -> Tree:
-    lo, hi, i, j = _spider_legs(n, k)
-    edges = []
-    nxt = 1
-    for length in [lo] * i + [hi] * j:
-        prev = 0
-        for _ in range(length):
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return Tree(n, edges)
-
-
-def _build_hat(n: int, d: int, k: int) -> Tree:
-    edges = [(i, i + 1) for i in range(d)]
-    edges += [(k - 1, d + 1 + i) for i in range(n - d - 1)]
-    return Tree(n, edges)
-
-
-_BUILDERS = {
-    "path": _build_path, "star": _build_star, "a_nq": _build_a_nq,
-    "pk_ab": _build_pk_ab, "corona_path": _build_corona_path,
-    "t_ndelta": _build_t_ndelta, "tprime_ndelta": _build_tprime_ndelta,
-    "spider": _build_spider, "hat": _build_hat,
-}
+    for at, length, count in legs:
+        end = nxt + length * count
+        edges += [(at, v) for v in range(nxt, end, length)]
+        if length > 1:
+            edges += [(v, v + 1) for s in range(nxt, end, length)
+                      for v in range(s, s + length - 1)]
+        nxt = end
+    return Tree(nxt, edges)
 
 
 def construct(spec: FamilySpec) -> Tree:
     """Build the tree selected by the spec, validating its parameters."""
     params = _check_params(spec)
-    return _BUILDERS[spec.family](*params)
+    return _legged_path(*_SHAPES[spec.family][1](*params))
 
 
 def closed_form(spec: FamilySpec, which: str, binomial_term: str = "sum") -> ClosedForm:

@@ -64,11 +64,17 @@ def domination_number(t: Tree) -> int:
     child could.
     """
     order, parent = t.rooting
-    taken: set[int] = set()
-    for v in reversed(order):
-        if v not in taken and taken.isdisjoint(t.adj[v]):
-            taken.add(v if parent[v] < 0 else parent[v])
-    return len(taken)
+    taken = [False] * t.n
+    # covered[v]: v or a child of v is taken; the root's parent -1 indexes
+    # the spare last slot
+    covered = [False] * (t.n + 1)
+    count = 0
+    for v in order[:0:-1]:   # every vertex but the root, children first
+        p = parent[v]
+        if not (covered[v] or taken[p]):
+            taken[p] = covered[p] = covered[parent[p]] = True
+            count += 1
+    return count + (not covered[0])
 
 
 def diameter(t: Tree) -> int:

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 from . import counting, invariants
 from .enumeration import (MAX_ORDER, TreeRecord, map_shards, random_labeled_tree,
                           tree_record)
-from .families import FamilySpec, closed_form, construct
+from .families import FamilySpec, _legged_path, closed_form, construct
 from .transforms import (a_transform, b_transform, c_anchors, c_transform,
                          classify_c_anchor, is_pendant_path_component)
 from .tree import (CanonicalForm, Tree, canonical_form, induced_subtree,
@@ -353,16 +353,7 @@ def _suite_b_transform(rng: random.Random) -> _Instances:
 def _bicentral_instance(rng: random.Random) -> Tree:
     """A bicentral tree whose two centers both carry pendant-path legs."""
     h = rng.randint(1, 3)
-    edges = [(0, 1)]
-    nxt = 2
-    for hub in (0, 1):
-        for _ in range(rng.randint(2, 3)):
-            prev = hub
-            for _ in range(h):
-                edges.append((prev, nxt))
-                prev = nxt
-                nxt += 1
-    return Tree(nxt, edges)
+    return _legged_path(2, [(hub, h, rng.randint(2, 3)) for hub in (0, 1)])
 
 
 def _suite_c_transform(rng: random.Random) -> _Instances:

@@ -1,10 +1,13 @@
+import argparse
 import json
 import sys
 
 import jsonschema
 import pytest
 
-from treecount.cli import main
+from treecount.cli import _build_parser, main
+from treecount.enumeration import TreeConstraint
+from treecount.families import FamilySpec
 from treecount.schemas import (COUNT_REPORT_SCHEMA, PROFILE_SCHEMA,
                                TRANSFORM_DELTA_SCHEMA, VERIFICATION_SCHEMA)
 
@@ -20,6 +23,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command, fields", [("construct", FamilySpec._fields),
+                                             ("enumerate", TreeConstraint._fields)])
+def test_parameter_flags_are_the_record_fields(command, fields):
+    """construct's family flags and enumerate's constraint flags are the
+    fields of the record each builds, in field order, with no other flag in
+    between."""
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    dests = [a.dest for a in sub.choices[command]._actions]
+    start = dests.index(fields[0])
+    assert dests[start:start + len(fields)] == list(fields)
 
 
 class TestCount:

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import pytest
 
 from conftest import make_path, make_star
@@ -6,7 +9,7 @@ from treecount.counting import count_leaf_subtrees, count_subtrees
 from treecount.families import (FAMILIES, BadParamsError, FamilySpec, NoFormulaError,
                                 closed_form, construct)
 from treecount.invariants import has_perfect_matching
-from treecount.tree import is_isomorphic
+from treecount.tree import is_isomorphic, serialize_tree
 
 
 def dp_value(t, which):
@@ -138,6 +141,36 @@ class TestParamChecks:
         monkeypatch.setattr(families, "Tree", no_tree)
         for (spec, q), value in expected.items():
             assert closed_form(spec, q).value == value, (spec, q)
+
+
+class TestPinnedOutput:
+    """Every spec with each parameter its family reads in None, 0..13: the
+    labelled trees built and the refusal messages, pinned as recorded
+    before the families shared one shape table and builder."""
+
+    READS = {"path": ("n",), "star": ("n",), "a_nq": ("n", "q"), "pk_ab": ("k", "a", "b"),
+             "corona_path": ("m", "n"), "t_ndelta": ("n", "delta"),
+             "tprime_ndelta": ("n", "delta"), "spider": ("n", "k"), "hat": ("n", "d", "k")}
+
+    def test_trees_and_refusals(self):
+        assert sorted(self.READS) == sorted(FAMILIES)
+        built, valid, refused = hashlib.sha256(), 0, []
+        for fam in FAMILIES:
+            for values in itertools.product((None, *range(14)), repeat=len(self.READS[fam])):
+                spec = FamilySpec(fam, **dict(zip(self.READS[fam], values)))
+                try:
+                    t = construct(spec)
+                except BadParamsError as exc:
+                    refused.append(str(exc))
+                    continue
+                valid += 1
+                built.update(f"{spec}\n{serialize_tree(t)}".encode())
+        assert valid == 3065
+        assert built.hexdigest() == (
+            "2cdd6e88ac29b749c164d4c18c51160ced1efb67f5b269a1727a589d18ae1b52")
+        assert len(refused) == 4840
+        assert hashlib.sha256("\n".join(sorted(refused)).encode()).hexdigest() == (
+            "d074f67433e98163bb784debc71887187c77584c5c51f93562d5a21d0a039c52")
 
 
 class TestClosedForms:

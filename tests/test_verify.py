@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import jsonschema
 import pytest
@@ -174,6 +176,17 @@ class TestLemmaSuitesPinned:
             "claimed": None, "achieved": None, "extremizers": [], "expected": None,
             "pass": True, "classSize": None, "counterexample": None,
             "notes": self.NOTES[tag, seed]}
+
+
+def test_bicentral_instances_pinned():
+    """The L3.3 suite's bicentral draws, with the generator state each leaves
+    behind, as recorded before they were built from the families' shape
+    builder."""
+    h = hashlib.sha256()
+    for s in range(50):
+        rng = random.Random(s)
+        h.update(f"{serialize_tree(verify._bicentral_instance(rng))}{rng.random()!r}\n".encode())
+    assert h.hexdigest() == "536c0f2825bae0971955d57054809565220f7c1ae0e1047da54ed7be01025e36"
 
 
 _totals, _anchored = counting.subtree_totals, counting.anchored_counts
