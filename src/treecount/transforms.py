@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .tree import Tree, centers, induced_subtree, path_between, preorder
+from .tree import Tree, _component, centers, induced_subtree, path_between, preorder
 
 
 class BadAnchorError(ValueError):
@@ -46,25 +46,11 @@ class TransformSpec(NamedTuple):
     component_root: int | None = None  # A: vertex identifying the branch
 
 
-def _component_without(t: Tree, banned: int, start: int) -> list[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in t.adj[stack.pop()]:
-            if w != banned and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return sorted(seen)
-
-
 def is_pendant_path_component(t: Tree, u: int, component_root: int) -> bool:
     """True if the branch of t - u holding component_root, together with u,
     forms a path ending at u."""
-    comp = _component_without(t, u, component_root)
-    comp_set = set(comp)
-    if sum(1 for w in t.adj[u] if w in comp_set) != 1:
-        return False
-    return all(len(t.adj[c]) <= 2 for c in comp)
+    comp = _component(t, component_root, (u,))
+    return sum(w in comp for w in t.adj[u]) == 1 and all(len(t.adj[c]) <= 2 for c in comp)
 
 
 def a_transform(t: Tree, u: int, component_root: int) -> tuple[Tree, dict[int, int]]:
@@ -75,7 +61,7 @@ def a_transform(t: Tree, u: int, component_root: int) -> tuple[Tree, dict[int, i
     """
     if not (0 <= u < t.n and 0 <= component_root < t.n) or u == component_root:
         raise BadAnchorError(f"bad anchors u={u}, component_root={component_root}")
-    comp = set(_component_without(t, u, component_root))
+    comp = _component(t, component_root, (u,))
     base, old_to_new = induced_subtree(t, (v for v in range(t.n) if v not in comp))
     edges = list(base.edges)
     prev = old_to_new[u]
@@ -129,24 +115,23 @@ def c_transform(t: Tree, v: int) -> tuple[Tree, dict[int, int]]:
     kind, w = classify_c_anchor(t, v)
     if t.degree(v) < 3:
         raise BadAnchorError("anchor needs degree >= 3")
-    child_roots = [c for c in t.adj[v] if c != w]
     keep = None
     keep_size = -1
-    for c in child_roots:
-        comp = _component_without(t, v, c)
-        if len(t.adj[c]) <= 2 and all(len(t.adj[x]) <= 2 for x in comp):
-            if len(comp) > keep_size:
+    for c in t.adj[v]:
+        if c != w:
+            comp = _component(t, c, (v,))
+            if len(comp) > keep_size and all(len(t.adj[x]) <= 2 for x in comp):
                 keep, keep_size = c, len(comp)
     if keep is None:
         raise NoPathChildError("no child subtree of the anchor is a pendant path")
+    moved = set(t.adj[v]) - {w, keep}
     edges = []
     for a, b in t.edges:
-        if (a == v and b in child_roots and b != keep):
-            edges.append((w, b))
-        elif (b == v and a in child_roots and a != keep):
-            edges.append((w, a))
-        else:
-            edges.append((a, b))
+        if a == v and b in moved:
+            a = w
+        elif b == v and a in moved:
+            b = w
+        edges.append((a, b))
     return Tree(t.n, edges), {x: x for x in range(t.n)}
 
 

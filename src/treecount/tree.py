@@ -12,7 +12,7 @@ Vertices are always the integers ``0..n-1``.  Two text formats are supported:
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Container, Iterable, Iterator, NamedTuple
 
 
 class MalformedInputError(ValueError):
@@ -255,6 +255,21 @@ def tree_from_level_sequence(seq: Iterable[int]) -> Tree:
     return Tree(len(depths), edges)
 
 
+def _edge_lines(lines: list) -> Iterator[tuple[int, int]]:
+    """Each line after the first as an edge (u, v), in file order; a line
+    is dropped from the list once it has been read."""
+    for i in range(1, len(lines)):
+        line, lines[i] = lines[i], None
+        parts = line.split()
+        if len(parts) != 2:
+            raise MalformedInputError(f"bad edge line: {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise MalformedInputError(f"bad edge line: {line!r}") from None
+        yield u, v
+
+
 def parse_tree(text: str, fmt: str = "edgelist") -> Tree:
     """Parse a tree from text in the given format ("edgelist" or "levelseq")."""
     if fmt == "edgelist":
@@ -272,18 +287,9 @@ def parse_tree(text: str, fmt: str = "edgelist") -> Tree:
             raise NotATreeError("vertex count must be positive")
         if len(lines) - 1 != n - 1:
             raise NotATreeError(f"{len(lines) - 1} edge lines for n={n}, expected {n - 1}")
-        edges = []
-        for line in lines[1:]:
-            parts = line.split()
-            if len(parts) != 2:
-                raise MalformedInputError(f"bad edge line: {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise MalformedInputError(f"bad edge line: {line!r}") from None
-            edges.append((u, v))
-        del lines  # the text's lines need not outlive the parse
-        return Tree(n, edges)
+        # Tree checks each edge as it is parsed, so the first faulty line
+        # in file order is the one reported
+        return Tree(n, _edge_lines(lines))
     if fmt == "levelseq":
         tokens = text.split()
         if not tokens:
@@ -346,6 +352,20 @@ def path_between(t: Tree, u: int, v: int) -> tuple[int, ...]:
     return tuple(path)
 
 
+def _component(t: Tree, start: int, banned: Container[int]) -> set[int]:
+    """The vertices of the component of t minus ``banned`` that holds
+    ``start``.  The search never steps onto a banned vertex, so it costs the
+    component's size."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in t.adj[stack.pop()]:
+            if w not in seen and w not in banned:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 def path_decomposition(t: Tree, x: int, y: int) -> PathDecomposition:
     """Split t along the x-y path (x, y leaves at distance >= 2).
 
@@ -365,27 +385,11 @@ def path_decomposition(t: Tree, x: int, y: int) -> PathDecomposition:
     on_path = set(path)
 
     def component_at(p: int) -> RootedComponent:
-        # Never stepping onto the path keeps p's path neighbours out, so the
-        # search costs the component's size.
-        seen = {p}
-        stack = [p]
-        while stack:
-            v = stack.pop()
-            for w in t.adj[v]:
-                if w not in seen and w not in on_path:
-                    seen.add(w)
-                    stack.append(w)
-        sub, old_to_new = induced_subtree(t, seen)
-        new_to_old = tuple(sorted(seen))
-        return RootedComponent(sub, old_to_new[p], new_to_old)
+        sub, old_to_new = induced_subtree(t, _component(t, p, on_path))
+        return RootedComponent(sub, old_to_new[p], tuple(old_to_new))
 
-    interior = path[1:-1]
-    if d % 2 == 0:
-        side = d // 2 - 1
-        z = component_at(path[d // 2])
-    else:
-        side = (d - 1) // 2
-        z = None
+    side = (d - 1) // 2  # interior vertices on each side of the middle one
     xs = tuple(component_at(path[i]) for i in range(1, side + 1))
     ys = tuple(component_at(path[d - i]) for i in range(1, side + 1))
+    z = component_at(path[d // 2]) if d % 2 == 0 else None
     return PathDecomposition(path, xs, ys, z)

@@ -440,8 +440,8 @@ def _suite_path_attachment(rng: random.Random) -> _Instances:
         yield series[0], ok, 0
 
 
-def _random_rooted(rng: random.Random, max_size: int = 4) -> tuple[Tree, int]:
-    t = random_labeled_tree(rng.randint(1, max_size), rng)
+def _random_rooted(rng: random.Random) -> tuple[Tree, int]:
+    t = random_labeled_tree(rng.randint(1, 4), rng)
     return t, rng.randrange(t.n)
 
 
@@ -471,40 +471,22 @@ def _comparison_instance(rng: random.Random):
         yt, yroot = _random_rooted(rng)
         xt, xroot = _grow(yt, yroot, rng, rng.randint(0, 3))
         sides.append((xt, xroot, yt, yroot))
-    ztree = _random_rooted(rng) if even else None
-
-    edges: list[tuple[int, int]] = []
-    nxt = 0
-
-    def fresh() -> int:
-        nonlocal nxt
-        nxt += 1
-        return nxt - 1
-
-    def splice(sub: Tree, subroot: int) -> int:
-        nonlocal nxt
-        offset = nxt
-        nxt += sub.n
-        edges.extend((offset + a, offset + b) for a, b in sub.edges)
-        return offset + subroot
-
-    x = fresh()
-    prev = x
-    for xt, xroot, _, _ in sides:
-        anchor = splice(xt, xroot)
-        edges.append((prev, anchor))
-        prev = anchor
+    # W is one chain of rooted pieces, labelled in chain order, each root
+    # joined to the next: x, the X sides, Z, the Y sides reversed, then y
+    point = (Tree(1, []), 0)
+    chain = [point, *((xt, xroot) for xt, xroot, _, _ in sides)]
     if even:
-        anchor = splice(*ztree)
-        edges.append((prev, anchor))
-        prev = anchor
-    for _, _, yt, yroot in reversed(sides):
-        anchor = splice(yt, yroot)
-        edges.append((prev, anchor))
-        prev = anchor
-    y = fresh()
-    edges.append((prev, y))
-    return Tree(nxt, edges), x, y, sides
+        chain.append(_random_rooted(rng))
+    chain += [(yt, yroot) for _, _, yt, yroot in reversed(sides)]
+    chain.append(point)
+    edges: list[tuple[int, int]] = []
+    n = 0
+    for piece, root in chain:
+        if n:
+            edges.append((prev, n + root))
+        edges.extend((n + a, n + b) for a, b in piece.edges)
+        prev, n = n + root, n + piece.n
+    return Tree(n, edges), 0, n - 1, sides
 
 
 def _suite_path_comparison(rng: random.Random) -> _Instances:

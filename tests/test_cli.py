@@ -69,6 +69,16 @@ class TestCount:
         code, _, err = run_cli(capsys, "count", "--input", str(f))
         assert code == 2 and "count" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("4\n0 9\n1 2\nx y\n", "edge (0, 9) outside 0..3"),
+        ("4\nx y\n1 2\n0 9\n", "bad edge line: 'x y'"),
+    ])
+    def test_first_faulty_line_is_reported(self, capsys, tmp_path, text, message):
+        f = tmp_path / "bad.tree"
+        f.write_text(text)
+        code, out, err = run_cli(capsys, "count", "--input", str(f))
+        assert (code, out, err) == (2, "", f"treecount count: {message}\n")
+
 
 class TestConstruct:
     def test_closed_form_line(self, capsys):

@@ -1,8 +1,9 @@
+import hashlib
 import random
 
 import pytest
 
-from conftest import make_path, make_star
+from conftest import make_path, make_star, relabeled
 from treecount.counting import count_leaf_subtrees, count_subtrees
 from treecount.enumeration import all_trees, random_labeled_tree
 from treecount.families import FamilySpec, construct
@@ -14,7 +15,7 @@ from treecount.transforms import (BadAnchorError, CenterViolationError,
                                   b_transform, c_anchors, c_transform,
                                   classify_c_anchor,
                                   is_pendant_path_component)
-from treecount.tree import Tree, is_isomorphic
+from treecount.tree import Tree, is_isomorphic, path_decomposition, serialize_tree
 
 
 class TestATransform:
@@ -141,6 +142,17 @@ class TestCTransform:
         with pytest.raises(NoPathChildError):
             c_transform(t, 4)
 
+    def test_large_degree_anchor(self):
+        # a path on 150,000 vertices with 50,000 leaves on vertex 1: the
+        # rewrite keeps leg 0 and hands every leaf to vertex 2, in O(n)
+        n_path, n_leaves = 150_000, 50_000
+        t = Tree(n_path + n_leaves, [(i, i + 1) for i in range(n_path - 1)]
+                 + [(1, n_path + j) for j in range(n_leaves)])
+        out, _ = c_transform(t, 1)
+        assert out.adj[1] == (0, 2)
+        assert out.degree(2) == n_leaves + 2
+        assert out.adj[2] == (1, 3, *range(n_path, n_path + n_leaves))
+
 
 def _c_anchors_by_trial(t: Tree) -> list[int]:
     anchors = []
@@ -183,3 +195,59 @@ class TestDispatch:
             apply_transform(t, TransformSpec(kind="C", v=0))
         with pytest.raises(BadAnchorError):
             apply_transform(t, TransformSpec(kind="Z", v=0))
+
+
+def _outcome(call, *args) -> str:
+    """The serialized result of one rewrite or cut, or its refusal's class
+    and message."""
+    try:
+        out = call(*args)
+    except ValueError as err:
+        return f"{type(err).__name__}: {err}"
+    if isinstance(out, bool):
+        return str(out)
+    if isinstance(out, tuple) and isinstance(out[0], Tree):
+        return serialize_tree(out[0]) + repr(sorted(out[1].items()))
+    parts = [repr(out.path)]
+    for comp in (*out.x_components, *out.y_components, out.z_component):
+        if comp is not None:
+            parts.append(f"{serialize_tree(comp.tree)}{comp.root} {comp.original_vertices!r}")
+    return "|".join(parts)
+
+
+class TestSurgeryPinned:
+    """Every cut and join on every tree with n <= 10 (as enumerated and
+    relabeled), at every admissible anchor, pinned as recorded before the
+    rewrites and the path decomposition shared one component search."""
+
+    @staticmethod
+    def _trees():
+        rng = random.Random(18)
+        for n in range(1, 11):
+            for t in all_trees(n):
+                yield t
+                yield relabeled(t, rng)
+
+    def _digest(self, lines) -> str:
+        h = hashlib.sha256()
+        for line in lines:
+            h.update(line.encode() + b"\n")
+        return h.hexdigest()
+
+    def test_a_transform_and_pendant_test(self):
+        lines = (_outcome(call, t, u, r) for t in self._trees()
+                 for u in range(t.n) for r in range(t.n) if r != u
+                 for call in (a_transform, is_pendant_path_component))
+        assert self._digest(lines) == (
+            "345931607771d67f62a7b70a502faf3c7740f67c91134862f4ba6ed6540ea8b4")
+
+    def test_c_transform(self):
+        lines = (_outcome(c_transform, t, v) for t in self._trees() for v in range(t.n))
+        assert self._digest(lines) == (
+            "f9ad3ed136c2bd28c01872689dc7042d210b33993dfa8b2db0472c28b77dad06")
+
+    def test_path_decomposition(self):
+        lines = (_outcome(path_decomposition, t, x, y) for t in self._trees()
+                 for x in t.leaves() for y in t.leaves() if x != y)
+        assert self._digest(lines) == (
+            "568dbe0835472059469b4ae08bb736ad841c2269fc1b03891e003301e022cb76")

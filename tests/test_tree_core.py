@@ -53,6 +53,23 @@ class TestParse:
         with pytest.raises(LabelOutOfRangeError):
             parse_tree("3\n0 1\n1 5")
 
+    @pytest.mark.parametrize("text, error, message", [
+        ("4\n0 9\n1 2\nx y\n", LabelOutOfRangeError, "edge (0, 9) outside 0..3"),
+        ("4\nx y\n1 2\n0 9\n", MalformedInputError, "bad edge line: 'x y'"),
+        ("4\n1 1\n1 2\nq\n", NotATreeError, "self-loop at vertex 1"),
+        ("4\n0 1\nq\n2 2\n", MalformedInputError, "bad edge line: 'q'"),
+        ("4\n0 1\n0 1\n2 3 4\n", MalformedInputError, "bad edge line: '2 3 4'"),
+        ("4\n0 1\n0 1\n2 3\n", NotATreeError, "duplicate edge"),
+        ("4\n0 1\n2 3\n9 1\n", LabelOutOfRangeError, "edge (9, 1) outside 0..3"),
+        ("4\n0 9\n1 2\n", NotATreeError, "2 edge lines for n=4, expected 3"),
+    ])
+    def test_first_fault_in_file_order(self, text, error, message):
+        # the count lines are checked first, then each edge line in file
+        # order; a duplicate edge or a disconnection shows after the last line
+        with pytest.raises(error) as exc:
+            parse_tree(text)
+        assert str(exc.value) == message
+
 
 class Edge(NamedTuple):
     u: int

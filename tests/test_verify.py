@@ -189,6 +189,18 @@ def test_bicentral_instances_pinned():
     assert h.hexdigest() == "536c0f2825bae0971955d57054809565220f7c1ae0e1047da54ed7be01025e36"
 
 
+def test_comparison_instances_pinned():
+    """The path-comparison suite's trees W with their endpoints, side counts
+    and the generator state each draw leaves behind, as recorded before W
+    was built as one chain of rooted pieces."""
+    h = hashlib.sha256()
+    for s in range(300):
+        rng = random.Random(s)
+        w, x, y, sides = verify._comparison_instance(rng)
+        h.update(f"{serialize_tree(w)}{x} {y} {len(sides)} {rng.random()!r}\n".encode())
+    assert h.hexdigest() == "39f46643bb35471a1f25f51cfa5d83bf62ff111fe0e99a216b4ce99bf11796c9"
+
+
 _totals, _anchored = counting.subtree_totals, counting.anchored_counts
 
 
