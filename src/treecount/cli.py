@@ -9,16 +9,17 @@ fixed argv (and seed).  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
 from contextlib import nullcontext
 from functools import partial
+from itertools import chain
+from typing import Iterable
 
 from . import __version__
 from .counting import count_report, subtree_totals
-from .enumeration import TreeConstraint, all_level_sequences, map_shards, merge_runs
+from .enumeration import TreeConstraint, map_shards, merge_runs, trees_matching
 from .families import FAMILIES, FORMULA_DISPLAY, FamilySpec, closed_form, construct
 from .invariants import invariant_profile
 from .transforms import TransformSpec, apply_transform
@@ -107,13 +108,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _write_csv(header: list[str], rows: Iterable[list]) -> None:
     import csv  # only --csv output needs it; keeps it out of every start-up
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
 
 
 def _cmd_count(args) -> int:
@@ -122,8 +121,7 @@ def _cmd_count(args) -> int:
     if args.json:
         print(_dump(d))
     elif args.csv:
-        print(_csv_text(["n", "F", "Fstar", "W"], [[d["n"], d["F"], d["Fstar"], d["W"]]]),
-              end="")
+        _write_csv(["n", "F", "Fstar", "W"], [[d["n"], d["F"], d["Fstar"], d["W"]]])
     else:
         print(f"n      = {report.n}")
         print(f"F      = {report.F}")
@@ -166,30 +164,23 @@ def _cmd_transform(args) -> int:
     return 0
 
 
-def _admitted(constraint: TreeConstraint, runs) -> list[list[tuple[int, ...]]]:
-    """The level sequences of each run whose trees the constraint admits."""
-    return [list(constraint.select(run)) for run in runs]
-
-
-def _count_admitted(constraint: TreeConstraint, runs) -> int:
-    return sum(1 for run in runs for _ in constraint.select(run))
-
-
 def _cmd_enumerate(args) -> int:
     constraint = TreeConstraint(*(getattr(args, field) for field in TreeConstraint._fields))
     if args.count_only:
-        counts, = map_shards(_count_admitted, constraint, [args.n], args.jobs)
+        counts, = map_shards(lambda runs: sum(1 for run in runs for _ in constraint.select(run)),
+                             [args.n], args.jobs)
         print(sum(counts))
         return 0
     if args.jobs == 1:
-        seqs = constraint.select(all_level_sequences(args.n))
+        trees = trees_matching(args.n, constraint)
     else:
-        parts, = map_shards(_admitted, constraint, [args.n], args.jobs)
-        seqs = (seq for run in merge_runs(parts) for seq in run)
-    trees = map(tree_from_level_sequence, seqs)
+        # each shard sends back the admitted level sequences of each of its runs
+        parts, = map_shards(lambda runs: [list(constraint.select(run)) for run in runs],
+                            [args.n], args.jobs)
+        trees = map(tree_from_level_sequence, chain.from_iterable(merge_runs(parts)))
     if args.csv:
-        rows = [[args.n, " ".join(f"{u}-{v}" for u, v in t.edges)] for t in trees]
-        print(_csv_text(["n", "edges"], rows), end="")
+        _write_csv(["n", "edges"], ([args.n, " ".join(f"{u}-{v}" for u, v in t.edges)]
+                                    for t in trees))
         return 0
     first = True
     for t in trees:
@@ -245,8 +236,7 @@ def _cmd_verify(args) -> int:
                  _dump(r.constraint), r.claimed if r.claimed is not None else "",
                  r.achieved if r.achieved is not None else "",
                  "pass" if r.passed else "FAIL"] for r in results]
-        print(_csv_text(["theorem", "n", "constraint", "claimed", "achieved", "result"],
-                        rows), end="")
+        _write_csv(["theorem", "n", "constraint", "claimed", "achieved", "result"], rows)
     else:
         for r in results:
             status = "pass" if r.passed else "FAIL"
@@ -273,8 +263,8 @@ def _cmd_profile(args) -> int:
         print(_dump(d))
     elif args.csv:
         keys = list(d)
-        print(_csv_text(keys, [[d[k] if k != "centers" else " ".join(map(str, d[k]))
-                                for k in keys]]), end="")
+        _write_csv(keys, [[d[k] if k != "centers" else " ".join(map(str, d[k]))
+                           for k in keys]])
     else:
         for k, v in d.items():
             print(f"{k} = {v}")

@@ -100,9 +100,8 @@ def _run(start: list, end: int) -> Iterator[tuple[int, ...]]:
 def _runs(n: int, shard: int = 0, shards: int = 1) -> Iterator[Iterator[tuple[int, ...]]]:
     """Runs shard, shard + shards, ... of the order-n level sequences, each a
     lazy stream.  A run is a maximal block of sequences sharing one first
-    principal subtree; another shard's run is passed in one jump."""
-    if n < 1 or n > MAX_ORDER:
-        raise TooLargeError(f"order {n} outside 1..{MAX_ORDER}")
+    principal subtree; another shard's run is passed in one jump.  The
+    callers check n."""
     start = [list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))]   # the path
     r = 0
     while start[0] is not None:
@@ -125,7 +124,10 @@ def merge_runs(parts: Sequence[Sequence[_R]]) -> list[_R]:
 
 
 def all_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
-    """Canonical level sequences of all non-isomorphic trees on n vertices."""
+    """Canonical level sequences of all non-isomorphic trees on n vertices;
+    an order outside 1..MAX_ORDER is refused at the call, before any output."""
+    if n < 1 or n > MAX_ORDER:
+        raise TooLargeError(f"order {n} outside 1..{MAX_ORDER}")
     return chain.from_iterable(_runs(n))
 
 
@@ -210,17 +212,18 @@ def tree_record(seq: Sequence[int]) -> TreeRecord:
                       max(max(kids[1:], default=-1) + 1, kids[0]))
 
 
-def map_shards(fn: Callable[[object, Iterator[Iterator[tuple[int, ...]]]], _R], arg: object,
+def map_shards(fn: Callable[[Iterator[Iterator[tuple[int, ...]]]], _R],
                orders: Sequence[int], jobs: int) -> list[list[_R]]:
-    """``[[fn(arg, the runs of shard s of order n) for s in range(w)]
-    for n in orders]`` with ``w = min(jobs, os.cpu_count())``.
+    """``[[fn(the runs of shard s of order n) for s in range(w)] for n in
+    orders]`` with ``w = min(jobs, os.cpu_count())``.
 
     Shard s gets runs s, s + w, s + 2w, ... (see ``_runs``); merge_runs puts
     per-run results back in generation order.  This process computes shard
-    0 of every order; each other shard is one forked child that computes its
-    shard of every order and sends back the list, or the exception ``fn``
-    raised, through its own pipe, so with ``w > 1`` both must pickle.  On any
-    error every child still running is killed and reaped before it is raised.
+    0 of every order; each other shard is one forked child, which inherits
+    ``fn`` with all it closes over, computes its shard of every order and
+    sends back the list, or the exception ``fn`` raised, through its own
+    pipe, so with ``w > 1`` both must pickle.  On any error every child
+    still running is killed and reaped before it is raised.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -231,9 +234,9 @@ def map_shards(fn: Callable[[object, Iterator[Iterator[tuple[int, ...]]]], _R], 
     children = {}   # pid -> read end of its pipe, for every child not yet reaped
     try:
         for shard in range(1, shards):
-            pid, pipe = _fork_shard(fn, arg, orders, shard, shards)
+            pid, pipe = _fork_shard(fn, orders, shard, shards)
             children[pid] = pipe
-        parts = [[fn(arg, _runs(n, 0, shards))] for n in orders]
+        parts = [[fn(_runs(n, 0, shards))] for n in orders]
         for shard, pid in enumerate(list(children), 1):
             with children[pid] as pipe:
                 data = pipe.read()
@@ -258,7 +261,7 @@ def map_shards(fn: Callable[[object, Iterator[Iterator[tuple[int, ...]]]], _R], 
     return parts
 
 
-def _fork_shard(fn: Callable, arg: object, orders: Sequence[int], shard: int,
+def _fork_shard(fn: Callable, orders: Sequence[int], shard: int,
                 shards: int) -> tuple[int, BinaryIO]:
     """Fork a child that pickles ``(True, results)`` or ``(False, exception)``
     for this shard of every order into a pipe; (its pid, the read end)."""
@@ -280,7 +283,7 @@ def _fork_shard(fn: Callable, arg: object, orders: Sequence[int], shard: int,
         try:
             os.close(read_end)
             try:
-                reply = (True, [fn(arg, runs(n)) for n in orders])
+                reply = (True, [fn(runs(n)) for n in orders])
             except Exception as exc:
                 reply = (False, exc)
             with open(write_end, "wb") as pipe:

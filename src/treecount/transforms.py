@@ -46,10 +46,17 @@ class TransformSpec(NamedTuple):
     component_root: int | None = None  # A: vertex identifying the branch
 
 
+def _branch(t: Tree, u: int, component_root: int) -> set[int]:
+    """The vertices of the branch of t - u holding component_root."""
+    if not (0 <= u < t.n and 0 <= component_root < t.n) or u == component_root:
+        raise BadAnchorError(f"bad anchors u={u}, component_root={component_root}")
+    return _component(t, component_root, (u,))
+
+
 def is_pendant_path_component(t: Tree, u: int, component_root: int) -> bool:
     """True if the branch of t - u holding component_root, together with u,
     forms a path ending at u."""
-    comp = _component(t, component_root, (u,))
+    comp = _branch(t, u, component_root)
     return sum(w in comp for w in t.adj[u]) == 1 and all(len(t.adj[c]) <= 2 for c in comp)
 
 
@@ -59,9 +66,7 @@ def a_transform(t: Tree, u: int, component_root: int) -> tuple[Tree, dict[int, i
     Returns the rewritten tree and the old->new label map for the surviving
     vertices (the replacement path takes the highest labels).
     """
-    if not (0 <= u < t.n and 0 <= component_root < t.n) or u == component_root:
-        raise BadAnchorError(f"bad anchors u={u}, component_root={component_root}")
-    comp = _component(t, component_root, (u,))
+    comp = _branch(t, u, component_root)
     base, old_to_new = induced_subtree(t, (v for v in range(t.n) if v not in comp))
     edges = list(base.edges)
     prev = old_to_new[u]

@@ -14,6 +14,7 @@ tie-breaking, so reports are byte-identical for any ``jobs`` and CPU count.
 from __future__ import annotations
 
 import random
+from functools import partial
 from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -163,107 +164,91 @@ def _merge_entry(slot: dict, qty: str, val: int, seqs: Iterable, mode: str) -> N
         cur[1].update(seqs)
 
 
-def _scan_shard(tag: str, runs: Iterable[Iterable[tuple[int, ...]]]):
-    """Aggregate the runs of one enumeration shard: key -> {qty: [extreme
-    value, set of generator level sequences]}, and key -> class size."""
+def _merge_class(into: list, record: list, mode: str) -> None:
+    """Fold one class record, [size, {qty: [extreme value, set of
+    extremizers]}], into another."""
+    into[0] += record[0]
+    for qty, (val, seqs) in record[1].items():
+        _merge_entry(into[1], qty, val, seqs, mode)
+
+
+def _scan_shard(tag: str, runs: Iterable[Iterable[tuple[int, ...]]]) -> dict:
+    """Aggregate the runs of one enumeration shard into one record per
+    class: key -> [size, {qty: [extreme value, set of generator level
+    sequences]}]."""
     th = _THEOREMS[tag]
     agg: dict = {}
-    counts: dict = {}
     for seq in chain.from_iterable(runs):
         rec = tree_record(seq)
         for key in th.keys(rec):
-            counts[key] = counts.get(key, 0) + 1
-            slot = agg.setdefault(key, {})
+            record = agg.get(key) or agg.setdefault(key, [0, {}])
+            record[0] += 1
             for qty in th.quantities:
-                _merge_entry(slot, qty, getattr(rec, qty), (seq,), th.extremum or key)
-    return agg, counts
+                _merge_entry(record[1], qty, getattr(rec, qty), (seq,), th.extremum or key)
+    return agg
 
 
-def _reduce(th: _Theorem, parts: list):
+def _reduce(th: _Theorem, parts: list) -> dict:
     """Merge the shards of one order, then name each surviving extremizer by
     its canonical level sequence instead of the generator's."""
-    (agg, counts), *rest = parts
-    for part_agg, part_counts in rest:
-        for key, c in part_counts.items():
-            counts[key] = counts.get(key, 0) + c
-        for key, slot in part_agg.items():
-            mine = agg.setdefault(key, {})
-            for qty, (val, seqs) in slot.items():
-                _merge_entry(mine, qty, val, seqs, th.extremum or key)
+    agg, *rest = parts
+    for part in rest:
+        for key, record in part.items():
+            _merge_class(agg.setdefault(key, [0, {}]), record, th.extremum or key)
     canon: dict = {}
-    for slot in agg.values():
+    for _, slot in agg.values():
         for entry in slot.values():
             for seq in entry[1]:
                 if seq not in canon:
                     canon[seq] = canonical_form(tree_from_level_sequence(seq)).level_seq
             entry[1] = {canon[seq] for seq in entry[1]}
-    return agg, counts
-
-
-def _class_entry(th: _Theorem, agg: dict, counts: dict, key) -> tuple[dict, int]:
-    """(quantity slot, size) of one class; a threshold class merges every
-    key >= its own."""
-    if not th.threshold:
-        return agg.get(key, {}), counts.get(key, 0)
-    slot: dict = {}
-    for k, s in agg.items():
-        if k >= key:
-            for qty, (val, canons) in s.items():
-                _merge_entry(slot, qty, val, canons, th.extremum)
-    return slot, sum(c for k, c in counts.items() if k >= key)
+    return agg
 
 
 # ---------------------------------------------------------------------------
 # row assembly
 # ---------------------------------------------------------------------------
 
-def _extremal_row(tag: str, n: int, constraint: dict, claimed: int,
-                  entry: list, expected_seq: tuple[int, ...], unique: bool,
-                  class_size: int, notes: str = "") -> VerificationResult:
-    value, canons = entry
-    extremizers = tuple(sorted(canons))
-    ok_value = claimed == value
-    ok_ext = (set(canons) == {expected_seq}) if unique else (expected_seq in canons)
-    passed = ok_value and ok_ext
-    counterexample = None
-    if not passed and extremizers:
-        bad = next((c for c in extremizers if c != expected_seq), extremizers[0])
-        counterexample = tree_from_level_sequence(bad)
-    return VerificationResult(
-        theorem=tag, n=n, constraint=constraint, claimed=claimed, achieved=value,
-        extremizers=tuple(CanonicalForm(c) for c in extremizers),
-        expected=CanonicalForm(expected_seq), passed=passed,
-        class_size=class_size, counterexample=counterexample, notes=notes)
-
-
-def _assemble(tag: str, n: int, agg: dict, counts: dict,
-              formula_variant: str) -> list[VerificationResult]:
+def _assemble(tag: str, n: int, agg: dict, formula_variant: str) -> list[VerificationResult]:
     th = _THEOREMS[tag]
     hat = tag == "T4.8"
     notes = _PRODUCT_NOTE if hat and formula_variant == "product" else ""
     rows: list[VerificationResult] = []
     for constraint, key, spec in th.classes(n):
-        slot, size = _class_entry(th, agg, counts, key)
+        # a threshold class holds every key >= its own
+        record = [0, {}]
+        for k, other in agg.items():
+            if k == key or th.threshold and k >= key:
+                _merge_class(record, other, th.extremum or key)
+        size, slot = record
         if not size:
             rows.append(VerificationResult(tag, n, constraint, None, None, (), None, True,
                                            class_size=0, notes="empty class"))
             continue
         built = construct(spec)
-        expected = canonical_form(built).level_seq
+        expected = canonical_form(built)
         for qty in th.quantities:
             cell = dict(constraint, quantity=qty)
             if hat:
                 cell["formula"] = formula_variant
             claimed = closed_form(spec, qty, binomial_term=formula_variant).value
-            rows.append(_extremal_row(tag, n, cell, claimed, slot[qty], expected,
-                                      th.unique, size, notes))
+            value, canons = slot[qty]
+            extremizers = sorted(canons)
+            passed = claimed == value and (canons == {expected.level_seq} if th.unique
+                                           else expected.level_seq in canons)
+            bad = next((c for c in extremizers if c != expected.level_seq), extremizers[0])
+            rows.append(VerificationResult(
+                tag, n, cell, claimed, value, tuple(map(CanonicalForm, extremizers)),
+                expected, passed, class_size=size,
+                counterexample=None if passed else tree_from_level_sequence(bad),
+                notes=notes))
         if hat:
             claimed_f = closed_form(spec, "F", binomial_term=formula_variant).value
             achieved_f = counting.count_subtrees(built)
             rows.append(VerificationResult(
                 tag, n, dict(constraint, quantity="F", check="formula-vs-count",
                              formula=formula_variant),
-                claimed_f, achieved_f, (), CanonicalForm(expected),
+                claimed_f, achieved_f, (), expected,
                 claimed_f == achieved_f, class_size=size,
                 counterexample=None if claimed_f == achieved_f else built,
                 notes=notes))
@@ -303,9 +288,8 @@ def verify_theorem(tag: str, n_min: int | None = None, n_max: int | None = None,
     """
     orders = theorem_orders(tag, n_min, n_max)
     rows: list[VerificationResult] = []
-    for n, parts in zip(orders, map_shards(_scan_shard, tag, orders, jobs)):
-        agg, counts = _reduce(_THEOREMS[tag], parts)
-        rows.extend(_assemble(tag, n, agg, counts, formula_variant))
+    for n, parts in zip(orders, map_shards(partial(_scan_shard, tag), orders, jobs)):
+        rows.extend(_assemble(tag, n, _reduce(_THEOREMS[tag], parts), formula_variant))
     return rows
 
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import sys
 
@@ -10,6 +11,7 @@ from treecount.enumeration import TreeConstraint
 from treecount.families import FamilySpec
 from treecount.schemas import (COUNT_REPORT_SCHEMA, PROFILE_SCHEMA,
                                TRANSFORM_DELTA_SCHEMA, VERIFICATION_SCHEMA)
+from treecount.verify import THEOREM_TAGS
 
 
 @pytest.fixture
@@ -321,6 +323,70 @@ class TestVerify:
                                "--n-min", "3", "--n-max", "5", "--csv")
         assert code == 0
         assert out.splitlines()[1].startswith("theorem,n,constraint")
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# sha256 of (the --json file, stdout after its header line) of verify --theorem
+# TAG at the tag's default range, taken from the reports as they were before
+# the scan carried one record per class
+_THEOREM_REPORT_SHA256 = {
+    "T4.1": ("e205465e5356809eb888d58fcfab9567bd10babcd2485829e8fed47479c98daf",
+             "a9467845464ac479cce00548f18c1342b19ba13f837b2ce4231f009ccf6fbffc"),
+    "T4.2": ("636c1bb4c5ce85793a32406f8a71ff8842c81241d574a44c51078144a243028e",
+             "b6c57e58f3c8b73f076bfcf28e9fe33b5cdc6de721aa5fd47badb417b9b9810e"),
+    "T4.3": ("0127d7bafb1f59875790a64312274839a81eed5cacccaa8f8ba126ed90209b5c",
+             "d9d53640197ce85725ae33db5cd9f5a021e8c6cf6d4e46205435cbcd9a3b5fe7"),
+    "T4.4": ("f84cfdf6d81955eba145c61cd54d16f1e613d7070e2d3160c27ff958631f303d",
+             "7692c5f81d3e5a460d90d23c090c21b4e363ce465ae46c7b6d4ae0921ce35758"),
+    "T4.5": ("cd829219fe75024103bbaedf20246bea5f93da969af21d897864d432e494b17b",
+             "f920708e910cc311b1e5ebb5a8031ea1b16b137b4003bfe86007de57df7ba3c9"),
+    "T4.6": ("f832b12ac6445b2fb3666bae27a70cb30be54c00d1499fdb47615f8e0014156d",
+             "23dd1ec990a0fa0909d2a02ef4c1c4b59937c4e5a6ac8802175a9cedb5b849a9"),
+    "T4.7": ("ff4b8753cb56c8e9e9ba93fad711053be2aca73f56ea5bba76adb93d206506bf",
+             "ea1d1398babc3f75785bac8276441831b0473aff13c307d55d06a765d18ac85b"),
+    "T4.8": ("bf8ae148caf84bc3a58e3e388a296ac0bf781d608cd8b0f95846cf05cc2c0f04",
+             "8e541442894b850bc8849a5cd39ab95c6176504011f8a67f050856830f3adf51"),
+    "L2star": ("01c147003f664600d38fe85f2a58f433cdcbb2cc5955726647e240b0cb966d2e",
+               "2ef02db6495bc12d04d35ce8a7f1e835e3c879784c09c16cd64c35d08a946257"),
+}
+_PRODUCT_REPORT_SHA256 = (
+    "d0cd0258ef23c8db894690b0ef51b746f723baa34c6b488c708ab3867f35cf4a",
+    "3dcfba1129c0ece13d005a42598aaf4bdb7991409d709dadabd858ce812aff2a")
+# sha256 of the stdout of enumerate --n 12, as text and with --csv
+_LISTING_SHA256 = {
+    "text": "9bbf186afc015e8ecd3bdc235899a46b4b4a577b902875bacfd74a208b8bb4e0",
+    "--csv": "53332ac8355f8fd13499b4a70bca289e0a23cbabb3269492220b8c43b4629d84",
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+class TestReportsPinned:
+    """Whole reports held byte for byte to recorded copies, at each jobs
+    setting."""
+
+    def report(self, capsys, tmp_path, *argv):
+        path = tmp_path / "report.json"
+        code, out, err = run_cli(capsys, "verify", *argv, "--json", str(path))
+        return code, err, sha256(path.read_bytes()), sha256(out.split("\n", 1)[1].encode())
+
+    @pytest.mark.parametrize("tag", THEOREM_TAGS)
+    def test_theorem_at_default_range(self, capsys, tmp_path, tag, jobs):
+        got = self.report(capsys, tmp_path, "--theorem", tag, "--jobs", jobs)
+        assert got == (0, "", *_THEOREM_REPORT_SHA256[tag])
+
+    def test_failing_product_reading(self, capsys, tmp_path, jobs):
+        got = self.report(capsys, tmp_path, "--theorem", "T4.8", "--n-max", "8",
+                          "--formula-variant", "product", "--jobs", jobs)
+        assert got == (1, "", *_PRODUCT_REPORT_SHA256)
+
+    @pytest.mark.parametrize("form", ["text", "--csv"])
+    def test_listing(self, capsys, form, jobs):
+        flags = [] if form == "text" else [form]
+        code, out, err = run_cli(capsys, "enumerate", "--n", "12", *flags, "--jobs", jobs)
+        assert (code, err, sha256(out.encode())) == (0, "", _LISTING_SHA256[form])
 
 
 class TestProfile:

@@ -2,6 +2,7 @@ import hashlib
 import os
 import random
 import time
+from functools import partial
 
 import pytest
 
@@ -58,7 +59,7 @@ class TestGenerator:
         assert next(all_level_sequences(MAX_ORDER))
 
 
-def _listed(_, runs):
+def _listed(runs):
     return [list(run) for run in runs]
 
 
@@ -105,7 +106,7 @@ class TestSharding:
         for n in range(1, 17):
             stream = list(all_level_sequences(n))
             for w in range(1, 9):
-                parts = [_listed(None, _runs(n, s, w)) for s in range(w)]
+                parts = [_listed(_runs(n, s, w)) for s in range(w)]
                 assert [seq for run in merge_runs(parts) for seq in run] == stream, (n, w)
 
     def test_runs_are_maximal_blocks_of_one_first_subtree(self):
@@ -120,7 +121,7 @@ class TestSharding:
     def test_shard_count_follows_the_cpus(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         orders = [7, 12]
-        got = map_shards(_listed, None, orders, 64)
+        got = map_shards(_listed, orders, 64)
         assert [len(parts) for parts in got] == [2, 2]
         for n, parts in zip(orders, got):
             assert [seq for run in merge_runs(parts) for seq in run] == \
@@ -129,26 +130,26 @@ class TestSharding:
     def test_bad_shard(self):
         for jobs in (0, -1):
             with pytest.raises(ValueError):
-                map_shards(_listed, None, [5], jobs)
+                map_shards(_listed, [5], jobs)
 
 
 def _fail_in_child(parent, runs):
     if os.getpid() != parent:
         raise ArithmeticError(f"shard of {parent} failed")
-    return _listed(None, runs)
+    return _listed(runs)
 
 
 def _vanish_in_child(parent, runs):
     if os.getpid() != parent:
         os._exit(3)
-    return _listed(None, runs)
+    return _listed(runs)
 
 
 def _fail_here_and_stall_in_child(parent, runs):
     if os.getpid() == parent:
         raise ArithmeticError("shard 0 failed")
     time.sleep(60)
-    return _listed(None, runs)
+    return _listed(runs)
 
 
 class TestForkJoin:
@@ -166,28 +167,28 @@ class TestForkJoin:
 
     def test_one_child_per_extra_shard(self, forks):
         orders = [3, 9, 12]
-        got = map_shards(_listed, None, orders, 3)
+        got = map_shards(_listed, orders, 3)
         assert len(forks) == 2
         self.assert_reaped(forks)
         for n, parts in zip(orders, got):
-            assert parts == [_listed(None, _runs(n, s, 3)) for s in range(3)]
+            assert parts == [_listed(_runs(n, s, 3)) for s in range(3)]
 
     def test_error_in_a_child_reaches_the_caller(self, forks):
         with pytest.raises(ArithmeticError, match=f"^shard of {os.getpid()} failed$"):
-            map_shards(_fail_in_child, os.getpid(), [8, 10], 3)
+            map_shards(partial(_fail_in_child, os.getpid()), [8, 10], 3)
         assert len(forks) == 2
         self.assert_reaped(forks)
 
     def test_child_without_a_result(self, forks):
         with pytest.raises(RuntimeError, match="ended with no result"):
-            map_shards(_vanish_in_child, os.getpid(), [8], 2)
+            map_shards(partial(_vanish_in_child, os.getpid()), [8], 2)
         assert len(forks) == 1
         self.assert_reaped(forks)
 
     def test_error_in_shard_0_kills_the_children(self, forks):
         start = time.monotonic()
         with pytest.raises(ArithmeticError, match="^shard 0 failed$"):
-            map_shards(_fail_here_and_stall_in_child, os.getpid(), [8], 3)
+            map_shards(partial(_fail_here_and_stall_in_child, os.getpid()), [8], 3)
         assert time.monotonic() - start < 30  # the children sleep for 60 s
         assert len(forks) == 2
         self.assert_reaped(forks)

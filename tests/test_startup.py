@@ -119,6 +119,12 @@ class TestClosedPipe:
         assert proc.stdout.readline() == b"14\n"
         assert self.finish(proc) == (141, b"")
 
+    def test_reader_leaves_mid_csv(self):
+        # --csv streams its rows, so the closed pipe is met part-way through
+        proc = self.start("enumerate", "--n", "14", "--csv")
+        assert proc.stdout.readline() == b"n,edges\n"
+        assert self.finish(proc) == (141, b"")
+
     def test_reader_gone_before_the_report(self):
         # verify writes its report only at the end, so the pipe is closed first
         proc = self.start("verify", "--theorem", "T4.1", "--n-max", "10")
@@ -132,7 +138,7 @@ import os, time
 from treecount.enumeration import map_shards
 os.cpu_count = lambda: 2
 
-def slow(_, runs):
+def slow(runs):
     os.write(1, b"%d\n" % os.getpid())
     for run in runs:
         time.sleep(0.05)
@@ -140,7 +146,7 @@ def slow(_, runs):
             pass
     return 0
 
-map_shards(slow, None, [14], 2)
+map_shards(slow, [14], 2)
 """
 
 

@@ -51,6 +51,14 @@ class TestATransform:
         with pytest.raises(BadAnchorError):
             a_transform(make_path(4), 2, 2)
 
+    @pytest.mark.parametrize("u, root", [(-1, 0), (3, -2), (0, 0), (9, 0)])
+    def test_pendant_path_test_refuses_bad_anchors(self, u, root):
+        # the same refusal as a_transform, not a wrapped index or an IndexError
+        message = f"^bad anchors u={u}, component_root={root}$"
+        for call in (a_transform, is_pendant_path_component):
+            with pytest.raises(BadAnchorError, match=message):
+                call(make_path(4), u, root)
+
 
 class TestBTransform:
     def test_path_to_star(self):

@@ -308,9 +308,10 @@ class TestExtremumMerge:
                     tied += len(want[key][qty][1]) > 1
             for w in (1, 2, 3):
                 parts = [verify._scan_shard("ties", _runs(n, s, w)) for s in range(w)]
-                agg, counts = verify._reduce(th, parts)
-                assert agg == want, (n, w)
-                assert counts == {key: len(m) for key, m in classes.items()}, (n, w)
+                agg = verify._reduce(th, parts)
+                assert {key: slot for key, (_, slot) in agg.items()} == want, (n, w)
+                assert {key: size for key, (size, _) in agg.items()} == \
+                    {key: len(m) for key, m in classes.items()}, (n, w)
         assert tied == 36  # tied (order, class, quantity) cells, each under three shardings
 
 
