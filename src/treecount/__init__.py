@@ -33,17 +33,9 @@ __all__ = [
     "count_leaf_subtrees_at", "count_report", "count_subtrees",
     "count_subtrees_at", "count_subtrees_at_pair", "domination_number",
     "has_perfect_matching", "invariant_profile", "is_isomorphic",
-    "matching_number", "oracle_counts", "oracle_pair_count", "parse_tree",
-    "path_between", "path_decomposition", "random_labeled_tree",
-    "run_lemma_suite", "serialize_tree", "strip_leaves", "subtree_totals",
-    "tree_from_prufer", "tree_from_level_sequence", "trees_matching",
-    "verify_theorem", "wiener_index",
+    "matching_number", "parse_tree", "path_between", "path_decomposition",
+    "random_labeled_tree", "run_lemma_suite", "serialize_tree", "strip_leaves",
+    "subtree_totals", "tree_from_prufer", "tree_from_level_sequence",
+    "trees_matching", "verify_theorem", "wiener_index",
 ]
 
-
-def __getattr__(name: str):
-    # the brute-force oracle is loaded on first use, since no command needs it
-    if name in ("oracle_counts", "oracle_pair_count"):
-        from . import oracle
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,7 +13,7 @@ from treecount.families import (FamilySpec, NoFormulaError, closed_form,
                                 construct)
 from treecount.counting import count_leaf_subtrees, count_subtrees
 from treecount.invariants import domination_number, matching_number
-from treecount.oracle import oracle_counts
+from bruteforce import oracle_counts
 from treecount.tree import Tree, canonical_form
 from treecount.verify import run_lemma_suite, verify_theorem
 

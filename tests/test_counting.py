@@ -11,7 +11,7 @@ from treecount.counting import (anchored_counts, count_leaf_subtrees,
                                 subtree_totals, wiener_index)
 from treecount.enumeration import all_trees, random_labeled_tree
 from treecount.families import FamilySpec, closed_form, construct
-from treecount.oracle import TooLargeError, oracle_counts, oracle_pair_count
+from bruteforce import TooLargeError, oracle_counts, oracle_pair_count
 from treecount.tree import (LabelOutOfRangeError, Tree, induced_subtree,
                             path_between, strip_leaves)
 

@@ -172,7 +172,6 @@ class TestLargeTrees:
 
 class TestPublicApi:
     def test_every_exported_name_resolves(self):
-        # oracle_counts and oracle_pair_count load lazily, on first access
         for name in treecount.__all__:
             assert getattr(treecount, name) is not None, name
 
@@ -184,3 +183,10 @@ class TestPublicApi:
         for module in (treecount, invariants):
             with pytest.raises(AttributeError):
                 getattr(module, name)
+
+    @pytest.mark.parametrize("name", ["oracle_counts", "oracle_pair_count"])
+    def test_oracles_are_not_exported(self, name):
+        # the subset-enumeration oracle lives in tests/bruteforce.py
+        assert name not in treecount.__all__
+        with pytest.raises(AttributeError):
+            getattr(treecount, name)

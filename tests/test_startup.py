@@ -3,6 +3,7 @@ stdout goes away, and that its forked shards end when it is killed.  Each
 check runs in a fresh interpreter, since pytest has long since loaded
 modules (``dataclasses`` among them) that the package itself must not need."""
 
+import importlib.util
 import json
 import os
 import signal
@@ -94,10 +95,11 @@ class TestImports:
         assert two[2:] == [0, one[3].replace("jobs=1", "jobs=2"), ""]
 
     def test_cli_import_loads_no_oracle_or_pickle(self):
-        # no command uses the brute-force oracle, and only a forked shard pickles
+        # the brute-force oracles live in the tests, and only a forked shard pickles
         added, _ = run_child()
         assert "treecount.cli" in added
-        assert "treecount.oracle" not in added and "pickle" not in added
+        assert importlib.util.find_spec("treecount.oracle") is None
+        assert "pickle" not in added
 
 
 class TestClosedPipe:

@@ -8,7 +8,7 @@ from treecount.counting import count_leaf_subtrees, count_subtrees
 from treecount.enumeration import all_trees, random_labeled_tree
 from treecount.families import FamilySpec, construct
 from treecount.invariants import diameter
-from treecount.oracle import oracle_counts
+from bruteforce import oracle_counts
 from treecount.transforms import (BadAnchorError, CenterViolationError,
                                   NoPathChildError, SideTooSmallError,
                                   TransformSpec, a_transform, apply_transform,

@@ -5,11 +5,12 @@ import random
 import jsonschema
 import pytest
 
-from treecount import counting, invariants, verify
+from treecount import cli, counting, invariants, verify
 from treecount.enumeration import _runs, all_trees, tree_record
-from treecount.families import FamilySpec, construct
+from treecount.families import (BadParamsError, FamilySpec, NoFormulaError, closed_form,
+                                construct)
 from treecount.schemas import VERIFICATION_SCHEMA
-from treecount.tree import Tree, canonical_form, serialize_tree
+from treecount.tree import Tree, canonical_form, parse_tree, serialize_tree
 from treecount.verify import (LEMMA_TAGS, THEOREM_TAGS, UnknownTagError,
                               run_lemma_suite, theorem_orders, verify_theorem)
 
@@ -77,6 +78,7 @@ class TestTheoremRuns:
     def test_orders_past_the_cap_rejected_before_scanning(self):
         with pytest.raises(ValueError, match="24"):
             theorem_orders("T4.1", 4, 25)
+        assert theorem_orders("T4.1", 24, 24) == [24]  # the cap itself is allowed
         with pytest.raises(ValueError):
             verify_theorem("T4.1", n_min=20, n_max=30)
 
@@ -280,17 +282,19 @@ def test_path_comparison_hypothesis_check_is_not_an_assert(monkeypatch):
 
 class TestExtremumMerge:
     """The scan, the shard merge and the renaming to canonical sequences keep
-    every tied extremizer.  The catalog has no tie up to n = 14, so a
-    test-only statement (most leaves, largest matching, per diameter class)
-    supplies them."""
+    every tied extremizer, at a maximum and at a minimum.  The catalog has no
+    tie up to n = 14, so a test-only statement (most or fewest leaves,
+    largest or smallest matching, per diameter class) supplies them."""
 
     QUANTITIES = ("leaves", "matching")
 
-    def test_ties_survive_every_sharding(self, monkeypatch):
+    @pytest.mark.parametrize("mode, ties", [("max", 36), ("min", 35)], ids=["max", "min"])
+    def test_ties_survive_every_sharding(self, monkeypatch, mode, ties):
         th = verify._Theorem(keys=lambda r: (r.diameter,), quantities=self.QUANTITIES,
-                             extremum="max", classes=lambda n: [], unique=False,
+                             extremum=mode, classes=lambda n: [], unique=False,
                              default_range=(3, 10), min_order=3)
         monkeypatch.setitem(verify._THEOREMS, "ties", th)
+        pick = {"max": max, "min": min}[mode]
         tied = 0
         for n in range(3, 11):
             classes: dict = {}
@@ -302,7 +306,7 @@ class TestExtremumMerge:
             for key, members in classes.items():
                 want[key] = {}
                 for qty in self.QUANTITIES:
-                    top = max(getattr(rec, qty) for _, rec in members)
+                    top = pick(getattr(rec, qty) for _, rec in members)
                     want[key][qty] = [top, {seq for seq, rec in members
                                             if getattr(rec, qty) == top}]
                     tied += len(want[key][qty][1]) > 1
@@ -312,7 +316,64 @@ class TestExtremumMerge:
                 assert {key: slot for key, (_, slot) in agg.items()} == want, (n, w)
                 assert {key: size for key, (size, _) in agg.items()} == \
                     {key: len(m) for key, m in classes.items()}, (n, w)
-        assert tied == 36  # tied (order, class, quantity) cells, each under three shardings
+        # tied (order, class, quantity) cells, each under three shardings
+        assert tied == ties
+
+
+class TestFailingRows:
+    """A wrong claim fails its row, and the row names a tree other than the
+    expected member as its counterexample."""
+
+    def test_tied_uniqueness_failure_names_the_other_extremizer(self):
+        spec = FamilySpec("spider", n=6, k=3)
+        member = canonical_form(construct(spec)).level_seq
+        other = canonical_form(Tree(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])).level_seq
+        claimed = closed_form(spec, "Fstar").value
+        agg = {3: [2, {"Fstar": [claimed, {member, other}]}]}
+        rows = [r for r in verify._assemble("T4.7", 6, agg, "sum") if r.class_size]
+        assert len(rows) == 1
+        row = rows[0]
+        assert (row.claimed, row.achieved, row.passed) == (claimed, claimed, False)
+        assert row.expected.level_seq == member
+        assert canonical_form(row.counterexample).level_seq == other
+
+    # which parameter of each family the twin shifts
+    SHIFTED = {"a_nq": "q", "pk_ab": "a", "corona_path": "m", "t_ndelta": "delta",
+               "tprime_ndelta": "delta", "spider": "k", "hat": "d"}
+
+    @classmethod
+    def wrong_member(cls, spec: FamilySpec) -> FamilySpec:
+        """The member with its family parameter one off (one up where the
+        family allows it, else one down, else the member itself: a class
+        alone at its order has no neighbour); for L2star the path and the
+        star trade places."""
+        if spec.family in ("path", "star"):
+            return spec._replace(family="star" if spec.family == "path" else "path")
+        name = cls.SHIFTED[spec.family]
+        for step in (1, -1):
+            twin = spec._replace(**{name: getattr(spec, name) + step})
+            try:
+                construct(twin)
+                for qty in ("F", "Fstar"):
+                    closed_form(twin, qty)
+            except (BadParamsError, NoFormulaError):
+                continue
+            return twin
+        return spec
+
+    @pytest.mark.parametrize("tag", THEOREM_TAGS)
+    def test_wrong_member_fails_every_tag(self, monkeypatch, tmp_path, tag):
+        th = verify._THEOREMS[tag]
+        twin = th._replace(classes=lambda n: [(c, key, self.wrong_member(spec))
+                                              for c, key, spec in th.classes(n)])
+        monkeypatch.setitem(verify._THEOREMS, tag, twin)
+        path = tmp_path / "report.json"
+        assert cli.main(["verify", "--theorem", tag, "--n-max", "8", "--json", str(path)]) == 1
+        failed = [r for r in json.loads(path.read_text()) if not r["pass"]]
+        assert failed
+        for r in failed:
+            named = canonical_form(parse_tree(r["counterexample"])).level_seq
+            assert list(named) != r["expected"], r
 
 
 # the direction of each theorem's extremum, read off its statement
