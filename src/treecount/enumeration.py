@@ -44,10 +44,9 @@ def _next_rooted(seq: list[int], p: int) -> list[int]:
     return out
 
 
-def _split(seq: Sequence[int]) -> tuple[list[int], list[int]]:
-    """(first principal subtree re-rooted at depth 0, remainder of the tree)."""
-    m = seq.index(1, 2) if 1 in seq[2:] else len(seq)   # the root's second child
-    return [d - 1 for d in seq[1:m]], [0, *seq[m:]]
+def _second_child(seq: Sequence[int]) -> int:
+    """Position of the root's second child (len(seq) if it has none)."""
+    return seq.index(1, 2) if 1 in seq[2:] else len(seq)
 
 
 def _jump(seq: list[int], p: int) -> list[int]:
@@ -56,25 +55,15 @@ def _jump(seq: list[int], p: int) -> list[int]:
     nxt = _next_rooted(seq, p)
     if seq[p] > 2:
         # the rest ends on a path exactly as deep as the new first principal subtree
-        height = max(_split(nxt)[0])
-        nxt[-height - 1:] = range(1, height + 2)
+        depth = max(nxt[1:_second_child(nxt)])
+        nxt[-depth:] = range(1, depth + 1)
     return nxt
 
 
-def _next_free(candidate: list[int]) -> list[int]:
-    """Validate a rooted candidate as a free tree, jumping ahead if not."""
-    left, rest = _split(candidate)
-    # (height, size, sequence) of the rest against the first principal subtree
-    if (max(rest), len(rest), rest) >= (max(left), len(left), left):
-        return candidate
-    return _jump(candidate, len(left))
-
-
-def _run(start: list, end: int) -> Iterator[tuple[int, ...]]:
-    """The run that begins at ``start[0]``, whose first principal subtree
-    ends at position ``end``; leaves the next run's first sequence (None
-    after the star, the last tree) in ``start[0]``."""
-    seq = start[0]
+def _run(seq: list[int], end: int) -> Iterator[tuple[int, ...]]:
+    """The run that begins at ``seq``, whose first principal subtree ends at
+    position ``end``: seq and its successors up to the first that would
+    rewrite that subtree or whose rest falls below it."""
     # (height, size, sequence) of the run's first principal subtree: a
     # successor that keeps it is a free-tree sequence iff its rest is no smaller
     left = [d - 1 for d in seq[1:end + 1]]
@@ -84,35 +73,26 @@ def _run(start: list, end: int) -> Iterator[tuple[int, ...]]:
         p = len(seq) - 1
         while seq[p] == 1:
             p -= 1
-        if p == 0:
-            start[0] = None
+        if p <= end:   # no successor keeps the first principal subtree (p == 0: none at all)
             return
         seq = _next_rooted(seq, p)
-        if p <= end:   # the successor rewrote the first principal subtree
-            start[0] = _next_free(seq)
-            return
         rest = [0, *seq[end + 1:]]
         if (max(rest), len(rest), rest) < first:
-            start[0] = _jump(seq, end)
             return
 
 
 def _runs(n: int, shard: int = 0, shards: int = 1) -> Iterator[Iterator[tuple[int, ...]]]:
-    """Runs shard, shard + shards, ... of the order-n level sequences, each a
-    lazy stream.  A run is a maximal block of sequences sharing one first
-    principal subtree; another shard's run is passed in one jump.  The
-    callers check n."""
-    start = [list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))]   # the path
+    """Runs shard, shard + shards, ... of the order-n level sequences, each an
+    independent lazy stream.  A run is a maximal block of sequences sharing
+    one first principal subtree; the next run starts one jump from a run's
+    first sequence, and none follows the star's.  The callers check n."""
+    seq = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))   # the path
     r = 0
-    while start[0] is not None:
-        end = len(_split(start[0])[0])
+    while seq is not None:
+        end = _second_child(seq) - 1
         if r % shards == shard:
-            run = _run(start, end)
-            yield run
-            for _ in run:   # whatever the consumer left unread
-                pass
-        else:
-            start[0] = _jump(start[0], end) if end > 1 else None
+            yield _run(seq, end)
+        seq = _jump(seq, end) if end > 1 else None
         r += 1
 
 
@@ -363,6 +343,4 @@ def random_labeled_tree(n: int, rng: random.Random) -> Tree:
         raise ValueError("order must be positive")
     if n == 1:
         return Tree(1, [])
-    if n == 2:
-        return Tree(2, [(0, 1)])
     return tree_from_prufer([rng.randrange(n) for _ in range(n - 2)])

@@ -109,6 +109,18 @@ class TestSharding:
                 parts = [_listed(_runs(n, s, w)) for s in range(w)]
                 assert [seq for run in merge_runs(parts) for seq in run] == stream, (n, w)
 
+    def test_runs_are_independent_streams(self):
+        # every run of a shard is taken before any is read, then read last first
+        for n in range(1, 15):
+            stream = list(all_level_sequences(n))
+            for w in (1, 2, 3):
+                parts = []
+                for s in range(w):
+                    runs = list(_runs(n, s, w))
+                    parts.append([list(run) for run in reversed(runs)][::-1])
+                    assert parts[-1] == _listed(_runs(n, s, w)), (n, w, s)
+                assert [seq for run in merge_runs(parts) for seq in run] == stream, (n, w)
+
     def test_runs_are_maximal_blocks_of_one_first_subtree(self):
         for n in range(2, 17):
             subtrees = []
