@@ -23,11 +23,14 @@ Families (``FamilySpec.family``):
 * ``hat`` -- path on d+1 vertices with n-d-1 pendants at position k; the
   diameter-class extremal tree (tag T4.8).
 
-Every family is a path with legs: one table row per family gives its shape
-as ``(base, [(at, length, count), ...])``, the path on vertices 0..base-1
-with ``count`` legs of ``length`` vertices hung at path vertex ``at``, and
-one builder emits it, the legs taking the next labels in the order listed
-(a star is ``(1, [(0, 1, n-1)])``, a hat ``(d+1, [(k-1, 1, n-d-1)])``).
+One table row per family holds the fields it reads, its refusals in order
+(each a test and its message) and its shape; one parameter check reads the
+row for both the builder and the closed forms. Every family is a path with
+legs: its shape is ``(base, [(at, length, count), ...])``, the path on
+vertices 0..base-1 with ``count`` legs of ``length`` vertices hung at path
+vertex ``at``, and one builder emits it, the legs taking the next labels in
+the order listed (a star is ``(1, [(0, 1, n-1)])``, a hat
+``(d+1, [(k-1, 1, n-d-1)])``).
 
 The displayed count for ``hat`` carries its two single-leg binomial terms as
 a sum; evaluating them as a product instead (selectable via
@@ -54,20 +57,40 @@ def _spider_shape(n: int, k: int):
     return 1, [(0, lo, i), (0, hi, j)]
 
 
-# each family: the FamilySpec fields it reads (hat's k is optional, and
-# corona_path takes m, or n = 2m, or both), and its shape from the checked
-# parameters, as _legged_path reads it
+# each family: the FamilySpec fields it reads, in builder order (corona_path's
+# n only stands in for m); its checks in order, each a test that refuses the
+# spec when it holds and the refusal's text; its shape, as _legged_path reads it
 _SHAPES = {
-    "path": (("n",), lambda n: (n, [])),
-    "star": (("n",), lambda n: (1, [(0, 1, n - 1)])),
-    "a_nq": (("n", "q"), lambda n, q: (1, [(0, 1, n - 2 * q + 1), (0, 2, q - 1)])),
-    "pk_ab": (("k", "a", "b"), lambda k, a, b: (k, [(0, 1, a), (k - 1, 1, b)])),
-    "corona_path": (("m", "n"), lambda m: (m, [(i, 1, 1) for i in range(m)])),
-    "t_ndelta": (("n", "delta"), lambda n, delta: (n - delta + 1, [(0, 1, delta - 1)])),
-    "tprime_ndelta": (("n", "delta"), lambda n, delta: (
-        n - 2 * delta + 3, [(0, 1, 1), (0, 2, delta - 2)])),
-    "spider": (("n", "k"), _spider_shape),
-    "hat": (("n", "d", "k"), lambda n, d, k: (d + 1, [(k - 1, 1, n - d - 1)])),
+    "path": (("n",), [(lambda n: n < 1, "path needs n >= 1")], lambda n: (n, [])),
+    "star": (("n",), [(lambda n: n < 1, "star needs n >= 1")],
+             lambda n: (1, [(0, 1, n - 1)])),
+    "a_nq": (("n", "q"),
+             [(lambda n, q: not (n >= 2 * q >= 2), "a_nq needs n >= 2q >= 2, got n={n}, q={q}")],
+             lambda n, q: (1, [(0, 1, n - 2 * q + 1), (0, 2, q - 1)])),
+    "pk_ab": (("k", "a", "b"),
+              [(lambda k, a, b: k < 2 or a < 0 or b < 0,
+                "pk_ab needs k >= 2 and a, b >= 0, got k={k}, a={a}, b={b}")],
+              lambda k, a, b: (k, [(0, 1, a), (k - 1, 1, b)])),
+    "corona_path": (("m", "n"),
+                    [(lambda m: m < 1, "corona_path needs base length m >= 1, got m={m}")],
+                    lambda m: (m, [(i, 1, 1) for i in range(m)])),
+    "t_ndelta": (("n", "delta"),
+                 [(lambda n, delta: delta < 3 or n < delta + 1,
+                   "t_ndelta needs delta >= 3 and n >= delta+1, got n={n}, delta={delta}")],
+                 lambda n, delta: (n - delta + 1, [(0, 1, delta - 1)])),
+    "tprime_ndelta": (("n", "delta"),
+                      [(lambda n, delta: delta < 3 or n % 2 or n < 2 * delta - 2,
+                        "tprime_ndelta needs delta >= 3 and even n >= 2*delta-2, "
+                        "got n={n}, delta={delta}")],
+                      lambda n, delta: (n - 2 * delta + 3, [(0, 1, 1), (0, 2, delta - 2)])),
+    "spider": (("n", "k"),
+               [(lambda n, k: not (2 <= k <= n - 1),
+                 "spider needs 2 <= k <= n-1, got n={n}, k={k}")],
+               _spider_shape),
+    "hat": (("n", "d", "k"),
+            [(lambda n, d, k: not (2 <= d <= n - 1), "hat needs 2 <= d <= n-1, got n={n}, d={d}"),
+             (lambda n, d, k: not (1 <= k <= d + 1), "hat needs 1 <= k <= d+1, got k={k}, d={d}")],
+            lambda n, d, k: (d + 1, [(k - 1, 1, n - d - 1)])),
 }
 FAMILIES = tuple(_SHAPES)
 
@@ -113,85 +136,39 @@ class ClosedForm(NamedTuple):
     formula_id: str
 
 
-def _need(spec: FamilySpec, *names: str) -> list[int]:
-    vals = []
-    for name in names:
-        v = getattr(spec, name)
-        if v is None:
-            raise BadParamsError(f"family {spec.family!r} needs parameter {name!r}")
-        vals.append(v)
-    return vals
-
-
-def _corona_base(spec: FamilySpec) -> int:
-    """Base path length of a corona: m, or an even n = 2m, or both."""
-    if spec.m is not None:
-        if spec.n is not None and spec.n != 2 * spec.m:
-            raise BadParamsError(f"corona_path needs n = 2m, got m={spec.m}, n={spec.n}")
-        return spec.m
-    if spec.n is not None:
-        if spec.n % 2:
-            raise BadParamsError(f"corona_path needs even n, got n={spec.n}")
-        return spec.n // 2
-    raise BadParamsError("family 'corona_path' needs parameter 'm' (or an even 'n')")
-
-
 def _check_params(spec: FamilySpec) -> tuple[int, ...]:
     """The family's parameters in builder order, checked against its
     constraints, so that a tree and a closed form reject a spec alike."""
     fam = spec.family
     if fam not in _SHAPES:
         raise BadParamsError(f"unknown family {fam!r}")
+    fields, checks, _ = _SHAPES[fam]
     unread = [name for name in FamilySpec._fields[1:]
-              if getattr(spec, name) is not None and name not in _SHAPES[fam][0]]
+              if getattr(spec, name) is not None and name not in fields]
     if unread:
         raise BadParamsError(f"family {fam!r} does not take "
                              + ", ".join(map(repr, unread)))
-    if fam in ("path", "star"):
-        (n,) = _need(spec, "n")
-        if n < 1:
-            raise BadParamsError(f"{fam} needs n >= 1")
-        return (n,)
-    if fam == "a_nq":
-        n, q = _need(spec, "n", "q")
-        if not (n >= 2 * q >= 2):
-            raise BadParamsError(f"a_nq needs n >= 2q >= 2, got n={n}, q={q}")
-        return n, q
-    if fam == "pk_ab":
-        k, a, b = _need(spec, "k", "a", "b")
-        if k < 2 or a < 0 or b < 0:
-            raise BadParamsError(f"pk_ab needs k >= 2 and a, b >= 0, got k={k}, a={a}, b={b}")
-        return k, a, b
-    if fam == "corona_path":
-        m = _corona_base(spec)
-        if m < 1:
-            raise BadParamsError(f"corona_path needs base length m >= 1, got m={m}")
-        return (m,)
-    if fam == "t_ndelta":
-        n, delta = _need(spec, "n", "delta")
-        if delta < 3 or n < delta + 1:
-            raise BadParamsError(
-                f"t_ndelta needs delta >= 3 and n >= delta+1, got n={n}, delta={delta}")
-        return n, delta
-    if fam == "tprime_ndelta":
-        n, delta = _need(spec, "n", "delta")
-        if delta < 3 or n % 2 or n < 2 * delta - 2:
-            raise BadParamsError(
-                f"tprime_ndelta needs delta >= 3 and even n >= 2*delta-2, got n={n}, delta={delta}")
-        return n, delta
-    if fam == "spider":
-        n, k = _need(spec, "n", "k")
-        if not (2 <= k <= n - 1):
-            raise BadParamsError(f"spider needs 2 <= k <= n-1, got n={n}, k={k}")
-        return n, k
-    if fam == "hat":
-        n, d = _need(spec, "n", "d")
-        k = spec.k if spec.k is not None else d // 2 + 1
-        if not (2 <= d <= n - 1):
-            raise BadParamsError(f"hat needs 2 <= d <= n-1, got n={n}, d={d}")
-        if not (1 <= k <= d + 1):
-            raise BadParamsError(f"hat needs 1 <= k <= d+1, got k={k}, d={d}")
-        return n, d, k
+    got = {name: getattr(spec, name) for name in fields}
+    if fam == "hat" and got["k"] is None and got["d"] is not None:  # k is optional
+        got["k"] = got["d"] // 2 + 1
+    elif fam == "corona_path":  # n = 2m stands in for m, or must agree with it
+        m, n = got["m"], got.pop("n")
+        if m is None:
+            if n is None:
+                raise BadParamsError("family 'corona_path' needs parameter 'm' (or an even 'n')")
+            if n % 2:
+                raise BadParamsError(f"corona_path needs even n, got n={n}")
+            got["m"] = n // 2
+        elif n is not None and n != 2 * m:
+            raise BadParamsError(f"corona_path needs n = 2m, got m={m}, n={n}")
+    for name, value in got.items():
+        if value is None:
+            raise BadParamsError(f"family {fam!r} needs parameter {name!r}")
+    params = tuple(got.values())
+    for test, refusal in checks:
+        if test(*params):
+            raise BadParamsError(refusal.format(**got))
+    return params
 
 
 def _legged_path(base: int, legs) -> Tree:
@@ -212,7 +189,7 @@ def _legged_path(base: int, legs) -> Tree:
 def construct(spec: FamilySpec) -> Tree:
     """Build the tree selected by the spec, validating its parameters."""
     params = _check_params(spec)
-    return _legged_path(*_SHAPES[spec.family][1](*params))
+    return _legged_path(*_SHAPES[spec.family][2](*params))
 
 
 def closed_form(spec: FamilySpec, which: str, binomial_term: str = "sum") -> ClosedForm:

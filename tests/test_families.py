@@ -98,11 +98,37 @@ VALID_SPECS = (
 )
 
 
+def grid_specs(fam):
+    """Every spec of the family in TestPinnedOutput's grid."""
+    reads = TestPinnedOutput.READS[fam]
+    return [FamilySpec(fam, **dict(zip(reads, values)))
+            for values in itertools.product((None, *range(14)), repeat=len(reads))]
+
+
+def refusal(route, *args):
+    """The BadParamsError message the route raises, or None."""
+    try:
+        route(*args)
+    except BadParamsError as exc:
+        return str(exc)
+    except NoFormulaError:
+        pass
+    return None
+
+
 class TestParamChecks:
     """One parameter check serves both the builder and the closed forms."""
 
-    @pytest.mark.parametrize("spec", INVALID_SPECS, ids=repr)
+    @pytest.mark.parametrize("spec", INVALID_SPECS + FAMILIES, ids=repr)
     def test_same_error_from_both(self, spec):
+        if spec in FAMILIES:
+            # a family name stands for its whole grid: a refused spec is
+            # refused alike by both routes, an accepted one by neither
+            for member in grid_specs(spec):
+                built = refusal(construct, member)
+                for which in ("F", "Fstar"):
+                    assert refusal(closed_form, member, which) == built, (member, which)
+            return
         with pytest.raises(BadParamsError) as built:
             construct(spec)
         for which in ("F", "Fstar"):
@@ -221,6 +247,26 @@ class TestClosedForms:
         assert closed_form(spec, "F", binomial_term="product").value == 5
         assert closed_form(spec, "Fstar").value == 5
         assert closed_form(spec, "Fstar", binomial_term="product").value == 4
+
+    def test_forms_at_the_edges_of_their_range(self):
+        # the smallest members with a leaf-subtree form, and hat's second
+        # balanced position, which exists at odd d only
+        for spec, which in ((FamilySpec("star", n=3), "Fstar"),
+                            (FamilySpec("a_nq", n=3, q=1), "Fstar"),
+                            (FamilySpec("tprime_ndelta", n=6, delta=3), "Fstar"),
+                            (FamilySpec("tprime_ndelta", n=8, delta=3), "Fstar"),
+                            (FamilySpec("hat", n=8, d=5, k=4), "F"),
+                            (FamilySpec("hat", n=8, d=5, k=4), "Fstar")):
+            assert closed_form(spec, which).value == dp_value(construct(spec), which), spec
+        with pytest.raises(NoFormulaError):
+            closed_form(FamilySpec("hat", n=8, d=4, k=4), "F")
+
+    def test_hat_product_variant_multiplies_the_tails(self):
+        # at d = 4 the tails are C(3, 2) = 3 each: 3 * 3 against 3 + 3
+        spec = FamilySpec("hat", n=8, d=4)
+        assert closed_form(spec, "F").value == 81
+        assert closed_form(spec, "F", binomial_term="product").value == 84
+        assert closed_form(spec, "Fstar", binomial_term="product").value == 78
 
 
 class TestFormulaAgainstCounting:
