@@ -167,8 +167,10 @@ def _cmd_transform(args) -> int:
 def _cmd_enumerate(args) -> int:
     constraint = TreeConstraint(*(getattr(args, field) for field in TreeConstraint._fields))
     if args.count_only:
-        counts, = map_shards(lambda runs: sum(1 for run in runs for _ in constraint.select(run)),
-                             [args.n], args.jobs)
+        # one select per shard, so one branch cache serves the shard's runs
+        counts, = map_shards(
+            lambda runs: sum(1 for _ in constraint.select(chain.from_iterable(runs))),
+            [args.n], args.jobs)
         print(sum(counts))
         return 0
     if args.jobs == 1:

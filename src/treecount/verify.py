@@ -102,11 +102,13 @@ _THEOREMS = {
         classes=lambda n: [({"gamma": g}, g, FamilySpec("a_nq", n=n, q=g))
                            for g in range(1, n // 2 + 1)]),
     "T4.3": _Theorem(
-        keys=lambda r: (r.domination,), quantities=("F", "Fstar"),
+        keys=lambda r: (r.domination,) if 2 * r.domination == r.n else (),
+        quantities=("F", "Fstar"),
         extremum="min", unique=True, default_range=(4, 16), min_order=4, even_only=True,
         classes=lambda n: [({"gamma": n // 2}, n // 2, FamilySpec("corona_path", m=n // 2))]),
     "T4.4": _Theorem(
-        keys=lambda r: (r.domination,), quantities=("F", "Fstar"),
+        keys=lambda r: (2,) if r.domination == 2 else (),
+        quantities=("F", "Fstar"),
         extremum="min", unique=True, default_range=(6, 14), min_order=6,
         classes=lambda n: [({"gamma": 2}, 2, _pk_ab(n))]),
     "T4.5": _Theorem(
@@ -155,36 +157,43 @@ _PRODUCT_NOTE = ("single-leg binomial tail evaluated as a product, the literal "
 # enumeration scan: per-class extremes, sharded aggregation
 # ---------------------------------------------------------------------------
 
-def _merge_entry(slot: dict, qty: str, val: int, seqs: Iterable, mode: str) -> None:
-    """Fold (val, seqs) into slot[qty] = [extreme value, set of extremizers]."""
-    cur = slot.get(qty)
-    if cur is None or (val > cur[0] if mode == "max" else val < cur[0]):
-        slot[qty] = [val, set(seqs)]
-    elif val == cur[0]:
-        cur[1].update(seqs)
+def _merge_entry(slot: dict, entries: Iterable[tuple[str, tuple[int, Iterable]]],
+                 mode: str) -> None:
+    """Fold each ``(qty, (val, seqs))`` of entries into slot[qty] = [extreme
+    value, set of extremizers]."""
+    for qty, (val, seqs) in entries:
+        cur = slot.get(qty)
+        if cur is None or (val > cur[0] if mode == "max" else val < cur[0]):
+            slot[qty] = [val, set(seqs)]
+        elif val == cur[0]:
+            cur[1].update(seqs)
 
 
 def _merge_class(into: list, record: list, mode: str) -> None:
     """Fold one class record, [size, {qty: [extreme value, set of
     extremizers]}], into another."""
     into[0] += record[0]
-    for qty, (val, seqs) in record[1].items():
-        _merge_entry(into[1], qty, val, seqs, mode)
+    _merge_entry(into[1], record[1].items(), mode)
 
 
 def _scan_shard(tag: str, runs: Iterable[Iterable[tuple[int, ...]]]) -> dict:
     """Aggregate the runs of one enumeration shard into one record per
     class: key -> [size, {qty: [extreme value, set of generator level
-    sequences]}]."""
+    sequences]}].  One branch cache serves the shard's trees."""
     th = _THEOREMS[tag]
     agg: dict = {}
+    cache: dict = {}
     for seq in chain.from_iterable(runs):
-        rec = tree_record(seq)
-        for key in th.keys(rec):
+        rec = tree_record(seq, cache)
+        keys = th.keys(rec)
+        if not keys:
+            continue
+        one = (seq,)
+        entries = [(qty, (getattr(rec, qty), one)) for qty in th.quantities]
+        for key in keys:
             record = agg.get(key) or agg.setdefault(key, [0, {}])
             record[0] += 1
-            for qty in th.quantities:
-                _merge_entry(record[1], qty, getattr(rec, qty), (seq,), th.extremum or key)
+            _merge_entry(record[1], entries, th.extremum or key)
     return agg
 
 

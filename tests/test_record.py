@@ -1,6 +1,8 @@
 """The theorem scan's per-tree record, held to the reference routes: every
-tree up to n=16, seeded random trees up to n=300, and random Pruefer trees
-from hypothesis."""
+tree up to n=16, alone and through one branch cache per order as the scan
+reads it, seeded random trees up to n=300, deep and wide trees of about
+5,000 vertices, branches on both sides of the cache's size cap, and random
+Pruefer trees from hypothesis."""
 
 import random
 
@@ -8,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from conftest import make_path, make_star
 from treecount import counting, invariants
-from treecount.enumeration import (TreeRecord, all_level_sequences,
+from treecount.enumeration import (_CACHED_BRANCH, TreeRecord, all_level_sequences,
                                    random_labeled_tree, tree_from_prufer,
                                    tree_record)
+from treecount.families import FamilySpec, construct
 from treecount.tree import Tree, canonical_form, preorder, tree_from_level_sequence
 
 
@@ -39,6 +43,13 @@ def test_every_tree_up_to_16(n):
         assert tree_record(seq) == reference(tree_from_level_sequence(seq)), seq
 
 
+@pytest.mark.parametrize("n", range(1, 17))
+def test_every_tree_up_to_16_through_one_cache(n):
+    cache: dict = {}
+    for seq in all_level_sequences(n):
+        assert tree_record(seq, cache) == reference(tree_from_level_sequence(seq)), seq
+
+
 def test_seeded_random_trees():
     rng = random.Random(20240331)
     for _ in range(200):
@@ -54,6 +65,43 @@ def test_leaf_rooted_path_and_star():
     for t in (path, star):
         for root in range(t.n):
             assert tree_record(rooted_level_seq(t, root)) == reference(t)
+
+
+# (tree, root): a deep branch of 4,999 vertices, two of about 2,500, one
+# 5,000-vertex hub, and a broom (t_ndelta: hub 0 with 2,499 bristles and a
+# handle ending at vertex 2500) from the end of its handle and from its hub
+PATH, STAR = make_path(5000), make_star(5001)
+BROOM = construct(FamilySpec("t_ndelta", n=5000, delta=2500))
+DEEP_AND_WIDE = [(PATH, 0), (PATH, 2500), (STAR, 1), (STAR, 0), (BROOM, 2500), (BROOM, 0)]
+
+
+@pytest.mark.parametrize("t, root", DEEP_AND_WIDE,
+                         ids=["path-leaf", "path-middle", "star-leaf", "star-centre",
+                              "broom-handle", "broom-hub"])
+def test_deep_and_wide_trees(t, root):
+    assert tree_record(rooted_level_seq(t, root)) == reference(t)
+
+
+def test_branches_either_side_of_the_cache_cap():
+    """Roots joining principal branches of 12 and 13 vertices, each twice,
+    through one cache: the record equals the reference, and the cache holds
+    exactly the branches of at most 12 vertices it has seen."""
+    assert _CACHED_BRANCH == 12
+    rng = random.Random(12)
+    cache: dict = {}
+    seen = set()
+    for _ in range(30):
+        branches = []
+        for size in (12, 13, rng.randint(1, 13)):
+            b = random_labeled_tree(size, rng)
+            branches.append(tuple(d + 1 for d in rooted_level_seq(b, rng.randrange(size))))
+        branches += branches[:2]
+        seq = (0,) + sum(branches, ())
+        seen.update(b for b in branches if len(b) <= 12)
+        want = reference(tree_from_level_sequence(seq))
+        assert tree_record(seq, cache) == want
+        assert tree_record(seq) == want
+    assert set(cache) == seen
 
 
 @settings(max_examples=150, deadline=None)

@@ -5,6 +5,8 @@ import random
 import jsonschema
 import pytest
 
+import digests
+
 from treecount import cli, counting, invariants, verify
 from treecount.enumeration import _runs, all_trees, tree_record
 from treecount.families import (BadParamsError, FamilySpec, NoFormulaError, closed_form,
@@ -318,6 +320,32 @@ class TestExtremumMerge:
                     {key: len(m) for key, m in classes.items()}, (n, w)
         # tied (order, class, quantity) cells, each under three shardings
         assert tied == ties
+
+
+class TestRegressionDigests:
+    """Every tag at every order up to 16 gives the report rows it gave
+    before the record folded branch summaries (``tests/digests.py``; CI
+    checks orders 17..20 at --jobs 2)."""
+
+    @pytest.mark.parametrize("tag, n", digests.cases(n_max=16))
+    def test_rows_unchanged(self, tag, n):
+        assert digests.digest(tag, n) == digests.DIGESTS[tag, n]
+
+    def test_table_covers_every_order_to_20(self):
+        assert set(digests.DIGESTS) == set(digests.cases())
+
+
+class TestClassKeys:
+    """A tree falls only in classes some row reads, so a shard carries no
+    class that no row asks for (T4.3 reads gamma = n/2, T4.4 gamma = 2)."""
+
+    @pytest.mark.parametrize("tag", [t for t in THEOREM_TAGS
+                                     if not verify._THEOREMS[t].threshold])
+    def test_every_scanned_class_is_read(self, tag):
+        th = verify._THEOREMS[tag]
+        for n in theorem_orders(tag, 1, 12):
+            read = {key for _, key, _ in th.classes(n)}
+            assert set(verify._scan_shard(tag, _runs(n))) <= read, n
 
 
 class TestFailingRows:
