@@ -14,12 +14,11 @@ import os
 import sys
 from contextlib import nullcontext
 from functools import partial
-from itertools import chain
 from typing import Iterable
 
 from . import __version__
 from .counting import count_report, subtree_totals
-from .enumeration import TreeConstraint, map_shards, merge_runs, trees_matching
+from .enumeration import TreeConstraint, map_shards, trees_matching
 from .families import FAMILIES, FORMULA_DISPLAY, FamilySpec, closed_form, construct
 from .invariants import invariant_profile
 from .transforms import TransformSpec, apply_transform
@@ -167,19 +166,18 @@ def _cmd_transform(args) -> int:
 def _cmd_enumerate(args) -> int:
     constraint = TreeConstraint(*(getattr(args, field) for field in TreeConstraint._fields))
     if args.count_only:
-        # one select per shard, so one branch cache serves the shard's runs
-        counts, = map_shards(
-            lambda runs: sum(1 for _ in constraint.select(chain.from_iterable(runs))),
-            [args.n], args.jobs)
+        counts, = map_shards(lambda seqs: sum(1 for _ in constraint.select(seqs)),
+                             [args.n], args.jobs)
         print(sum(counts))
         return 0
     if args.jobs == 1:
         trees = trees_matching(args.n, constraint)
     else:
-        # each shard sends back the admitted level sequences of each of its runs
-        parts, = map_shards(lambda runs: [list(constraint.select(run)) for run in runs],
-                            [args.n], args.jobs)
-        trees = map(tree_from_level_sequence, chain.from_iterable(merge_runs(parts)))
+        import heapq  # only a sharded listing needs it; keeps it out of every start-up
+        # each shard sends back its admitted level sequences, strictly
+        # decreasing as the generator emits them, so merging restores its order
+        parts, = map_shards(lambda seqs: list(constraint.select(seqs)), [args.n], args.jobs)
+        trees = map(tree_from_level_sequence, heapq.merge(*parts, reverse=True))
     if args.csv:
         _write_csv(["n", "edges"], ([args.n, " ".join(f"{u}-{v}" for u, v in t.edges)]
                                     for t in trees))

@@ -6,7 +6,9 @@ sequences are stepped in decreasing lexicographic order, and a candidate is a
 valid free-tree representative exactly when the root's first principal subtree
 is no taller / no bigger / no larger lexicographically than the rest of the
 tree.  Invalid prefixes, and the runs another shard takes, are skipped in
-one jump, so no isomorphism deduplication is ever needed.
+one jump, so no isomorphism deduplication is ever needed.  The stream of
+one order is strictly decreasing, so the streams of a sharded order merge
+back into it by comparing the sequences themselves.
 
 Random labeled trees (uniform over labeled, not unlabeled, trees -- adequate
 for sampled property checks) come from random Pruefer sequences.
@@ -96,16 +98,10 @@ def _runs(n: int, shard: int = 0, shards: int = 1) -> Iterator[Iterator[tuple[in
         r += 1
 
 
-def merge_runs(parts: Sequence[Sequence[_R]]) -> list[_R]:
-    """One result per run from each shard of one order, back in generation
-    order: run r is item ``r // w`` of shard ``r % w`` of w."""
-    w = len(parts)
-    return [parts[r % w][r // w] for r in range(sum(map(len, parts)))]
-
-
 def all_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
-    """Canonical level sequences of all non-isomorphic trees on n vertices;
-    an order outside 1..MAX_ORDER is refused at the call, before any output."""
+    """Canonical level sequences of all non-isomorphic trees on n vertices,
+    in strictly decreasing lexicographic order; an order outside
+    1..MAX_ORDER is refused at the call, before any output."""
     if n < 1 or n > MAX_ORDER:
         raise TooLargeError(f"order {n} outside 1..{MAX_ORDER}")
     return chain.from_iterable(_runs(n))
@@ -262,18 +258,19 @@ def tree_record(seq: Sequence[int], cache: dict | None = None) -> TreeRecord:
                       max(longest, top + second), leaves, degree)
 
 
-def map_shards(fn: Callable[[Iterator[Iterator[tuple[int, ...]]]], _R],
+def map_shards(fn: Callable[[Iterator[tuple[int, ...]]], _R],
                orders: Sequence[int], jobs: int) -> list[list[_R]]:
-    """``[[fn(the runs of shard s of order n) for s in range(w)] for n in
-    orders]`` with ``w = min(jobs, os.cpu_count())``.
+    """``[[fn(the level sequences of shard s of order n) for s in range(w)]
+    for n in orders]`` with ``w = min(jobs, os.cpu_count())``.
 
-    Shard s gets runs s, s + w, s + 2w, ... (see ``_runs``); merge_runs puts
-    per-run results back in generation order.  This process computes shard
-    0 of every order; each other shard is one forked child, which inherits
-    ``fn`` with all it closes over, computes its shard of every order and
-    sends back the list, or the exception ``fn`` raised, through its own
-    pipe, so with ``w > 1`` both must pickle.  On any error every child
-    still running is killed and reaped before it is raised.
+    Shard s gets runs s, s + w, s + 2w, ... of the generator (see ``_runs``)
+    as one stream in generation order, so strictly decreasing like the
+    whole stream.  This process computes shard 0 of every order; each other
+    shard is one forked child, which inherits ``fn`` with all it closes
+    over, computes its shard of every order and sends back the list, or the
+    exception ``fn`` raised, through its own pipe, so with ``w > 1`` both
+    must pickle.  On any error every child still running is killed and
+    reaped before it is raised.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -286,7 +283,7 @@ def map_shards(fn: Callable[[Iterator[Iterator[tuple[int, ...]]]], _R],
         for shard in range(1, shards):
             pid, pipe = _fork_shard(fn, orders, shard, shards)
             children[pid] = pipe
-        parts = [[fn(_runs(n, 0, shards))] for n in orders]
+        parts = [[fn(chain.from_iterable(_runs(n, 0, shards)))] for n in orders]
         for shard, pid in enumerate(list(children), 1):
             with children[pid] as pipe:
                 data = pipe.read()
@@ -333,7 +330,7 @@ def _fork_shard(fn: Callable, orders: Sequence[int], shard: int,
         try:
             os.close(read_end)
             try:
-                reply = (True, [fn(runs(n)) for n in orders])
+                reply = (True, [fn(chain.from_iterable(runs(n))) for n in orders])
             except Exception as exc:
                 reply = (False, exc)
             with open(write_end, "wb") as pipe:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from functools import partial
-from itertools import chain, islice
+from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import counting, invariants
@@ -176,14 +176,14 @@ def _merge_class(into: list, record: list, mode: str) -> None:
     _merge_entry(into[1], record[1].items(), mode)
 
 
-def _scan_shard(tag: str, runs: Iterable[Iterable[tuple[int, ...]]]) -> dict:
-    """Aggregate the runs of one enumeration shard into one record per
-    class: key -> [size, {qty: [extreme value, set of generator level
-    sequences]}].  One branch cache serves the shard's trees."""
+def _scan_shard(tag: str, seqs: Iterable[tuple[int, ...]]) -> dict:
+    """Aggregate the level sequences of one enumeration shard into one
+    record per class: key -> [size, {qty: [extreme value, set of generator
+    level sequences]}].  One branch cache serves the shard's trees."""
     th = _THEOREMS[tag]
     agg: dict = {}
     cache: dict = {}
-    for seq in chain.from_iterable(runs):
+    for seq in seqs:
         rec = tree_record(seq, cache)
         keys = th.keys(rec)
         if not keys:

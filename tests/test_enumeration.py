@@ -1,8 +1,10 @@
 import hashlib
+import heapq
 import os
 import random
 import time
 from functools import partial
+from itertools import chain, pairwise
 
 import pytest
 
@@ -10,8 +12,7 @@ from bruteforce import class_count_by_formula, prufer_class_count
 from conftest import make_path, make_star
 from treecount.enumeration import (MAX_ORDER, TooLargeError, TreeConstraint, _runs,
                                    all_level_sequences, all_trees, map_shards,
-                                   merge_runs, random_labeled_tree, tree_from_prufer,
-                                   trees_matching)
+                                   random_labeled_tree, tree_from_prufer, trees_matching)
 from treecount.families import FamilySpec, construct
 from treecount.invariants import (diameter, domination_number, has_perfect_matching,
                                   matching_number)
@@ -63,6 +64,16 @@ def _listed(runs):
     return [list(run) for run in runs]
 
 
+def _shard(n, s, w):
+    """The level sequences of shard s of w of order n, as map_shards deals them."""
+    return list(chain.from_iterable(_runs(n, s, w)))
+
+
+def _merged(parts):
+    """Shard streams merged back into one strictly decreasing stream."""
+    return list(heapq.merge(*parts, reverse=True))
+
+
 def _first_subtree(seq):
     """seq[1:m], with m the position of the root's second child (or the end)."""
     m = seq.index(1, 2) if 1 in seq[2:] else len(seq)
@@ -95,19 +106,21 @@ _STREAM_SHA256 = {
 
 class TestSharding:
     def test_stream_is_unchanged(self):
+        # and strictly decreasing, the order that merges shards back into it
         for n, digest in _STREAM_SHA256.items():
+            stream = list(all_level_sequences(n))
+            assert all(a > b for a, b in pairwise(stream)), n
             h = hashlib.sha256()
-            for seq in all_level_sequences(n):
+            for seq in stream:
                 h.update(bytes(seq) + b"\n")
             assert h.hexdigest() == digest, n
 
     def test_partition_is_exact(self):
-        # run r is item r // w of shard r % w; merged, the runs are the stream
+        # merged by order, the shards are the stream: every sequence once
         for n in range(1, 17):
             stream = list(all_level_sequences(n))
             for w in range(1, 9):
-                parts = [_listed(_runs(n, s, w)) for s in range(w)]
-                assert [seq for run in merge_runs(parts) for seq in run] == stream, (n, w)
+                assert _merged(_shard(n, s, w) for s in range(w)) == stream, (n, w)
 
     def test_runs_are_independent_streams(self):
         # every run of a shard is taken before any is read, then read last first
@@ -117,9 +130,10 @@ class TestSharding:
                 parts = []
                 for s in range(w):
                     runs = list(_runs(n, s, w))
-                    parts.append([list(run) for run in reversed(runs)][::-1])
-                    assert parts[-1] == _listed(_runs(n, s, w)), (n, w, s)
-                assert [seq for run in merge_runs(parts) for seq in run] == stream, (n, w)
+                    part = [list(run) for run in reversed(runs)][::-1]
+                    assert part == _listed(_runs(n, s, w)), (n, w, s)
+                    parts.append([seq for run in part for seq in run])
+                assert _merged(parts) == stream, (n, w)
 
     def test_runs_are_maximal_blocks_of_one_first_subtree(self):
         for n in range(2, 17):
@@ -133,35 +147,34 @@ class TestSharding:
     def test_shard_count_follows_the_cpus(self, monkeypatch):
         monkeypatch.setattr("os.cpu_count", lambda: 2)
         orders = [7, 12]
-        got = map_shards(_listed, orders, 64)
+        got = map_shards(list, orders, 64)
         assert [len(parts) for parts in got] == [2, 2]
         for n, parts in zip(orders, got):
-            assert [seq for run in merge_runs(parts) for seq in run] == \
-                list(all_level_sequences(n))
+            assert _merged(parts) == list(all_level_sequences(n))
 
     def test_bad_shard(self):
         for jobs in (0, -1):
             with pytest.raises(ValueError):
-                map_shards(_listed, [5], jobs)
+                map_shards(list, [5], jobs)
 
 
-def _fail_in_child(parent, runs):
+def _fail_in_child(parent, seqs):
     if os.getpid() != parent:
         raise ArithmeticError(f"shard of {parent} failed")
-    return _listed(runs)
+    return list(seqs)
 
 
-def _vanish_in_child(parent, runs):
+def _vanish_in_child(parent, seqs):
     if os.getpid() != parent:
         os._exit(3)
-    return _listed(runs)
+    return list(seqs)
 
 
-def _fail_here_and_stall_in_child(parent, runs):
+def _fail_here_and_stall_in_child(parent, seqs):
     if os.getpid() == parent:
         raise ArithmeticError("shard 0 failed")
     time.sleep(60)
-    return _listed(runs)
+    return list(seqs)
 
 
 class TestForkJoin:
@@ -179,11 +192,11 @@ class TestForkJoin:
 
     def test_one_child_per_extra_shard(self, forks):
         orders = [3, 9, 12]
-        got = map_shards(_listed, orders, 3)
+        got = map_shards(list, orders, 3)
         assert len(forks) == 2
         self.assert_reaped(forks)
         for n, parts in zip(orders, got):
-            assert parts == [_listed(_runs(n, s, 3)) for s in range(3)]
+            assert parts == [_shard(n, s, 3) for s in range(3)]
 
     def test_error_in_a_child_reaches_the_caller(self, forks):
         with pytest.raises(ArithmeticError, match=f"^shard of {os.getpid()} failed$"):

@@ -64,9 +64,9 @@ class TestImports:
         assert "multiprocessing" not in added
 
     def test_cli_import_loads_no_csv(self):
-        # only --csv output needs the csv module
+        # only --csv output needs the csv module, and only a sharded listing heapq
         added, _ = run_child()
-        assert "treecount.cli" in added and "csv" not in added
+        assert "treecount.cli" in added and "csv" not in added and "heapq" not in added
 
     def test_commands_without_a_pool_do_not_load_multiprocessing(self, p6_file):
         argvs = [
@@ -133,19 +133,19 @@ class TestClosedPipe:
         assert self.finish(proc) == (141, b"")
 
 
-# Runs map_shards over two shards of order 14 (303 runs) with an fn that
-# prints its process id and then takes 50 ms per run, about 7 s per shard.
+# Runs map_shards over two shards of order 14 (3,159 sequences in 303 runs)
+# with an fn that prints its process id and then takes 2 ms per sequence,
+# about 3 s per shard; a shard checks for its caller before each run, and
+# the longest run (163 sequences) takes about 0.33 s.
 SLOW_CALLER = r"""
 import os, time
 from treecount.enumeration import map_shards
 os.cpu_count = lambda: 2
 
-def slow(runs):
+def slow(seqs):
     os.write(1, b"%d\n" % os.getpid())
-    for run in runs:
-        time.sleep(0.05)
-        for _ in run:
-            pass
+    for _ in seqs:
+        time.sleep(0.002)
     return 0
 
 map_shards(slow, [14], 2)

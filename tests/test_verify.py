@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from itertools import chain
 
 import jsonschema
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import digests
 
 from treecount import cli, counting, invariants, verify
-from treecount.enumeration import _runs, all_trees, tree_record
+from treecount.enumeration import _runs, all_level_sequences, all_trees, tree_record
 from treecount.families import (BadParamsError, FamilySpec, NoFormulaError, closed_form,
                                 construct)
 from treecount.schemas import VERIFICATION_SCHEMA
@@ -313,7 +314,8 @@ class TestExtremumMerge:
                                             if getattr(rec, qty) == top}]
                     tied += len(want[key][qty][1]) > 1
             for w in (1, 2, 3):
-                parts = [verify._scan_shard("ties", _runs(n, s, w)) for s in range(w)]
+                parts = [verify._scan_shard("ties", chain.from_iterable(_runs(n, s, w)))
+                         for s in range(w)]
                 agg = verify._reduce(th, parts)
                 assert {key: slot for key, (_, slot) in agg.items()} == want, (n, w)
                 assert {key: size for key, (size, _) in agg.items()} == \
@@ -345,7 +347,7 @@ class TestClassKeys:
         th = verify._THEOREMS[tag]
         for n in theorem_orders(tag, 1, 12):
             read = {key for _, key, _ in th.classes(n)}
-            assert set(verify._scan_shard(tag, _runs(n))) <= read, n
+            assert set(verify._scan_shard(tag, all_level_sequences(n))) <= read, n
 
 
 class TestFailingRows:
