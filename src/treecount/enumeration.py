@@ -126,12 +126,16 @@ class TreeRecord(NamedTuple):
     max_degree: int
 
 
-# Only branches of at most this many vertices are cached, so a cache holds
-# at most 7,813 summaries at any order (the rooted trees on 1..12 vertices,
-# A000081).  At n = 20 it holds 7,021 for about 2 MB more peak memory;
-# uncapped it would hold 24,881 for about 8 MB, to save about 5% of the
-# record's time.
+# The process's branch summaries, each a pure function of its branch's slice
+# of the sequence, so no record depends on the table; a forked shard inherits
+# it.  Only branches of at most _CACHED_BRANCH vertices enter, so over the
+# process's lifetime it holds at most 7,813 entries for generator sequences,
+# the only ones the package passes (the rooted trees on 1..12 vertices,
+# A000081), and at most 82,500 for any valid input (the level sequences of
+# at most 12 vertices).  Orders 17..20 fill 7,021, about 2 MB; uncapped it
+# would hold 24,881, about 8 MB, to save about 5% of the record's time.
 _CACHED_BRANCH = 12
+_BRANCHES: dict = {}
 
 
 def _branch(s: tuple[int, ...]) -> tuple:
@@ -198,21 +202,18 @@ def _branch(s: tuple[int, ...]) -> tuple:
             leaves, max(kids) + 1, high[0] + 1, max(map(add, high, low)))
 
 
-def tree_record(seq: Sequence[int], cache: dict | None = None) -> TreeRecord:
+def tree_record(seq: Sequence[int]) -> TreeRecord:
     """The TreeRecord of the tree with this (valid) level sequence, without
     building a Tree: the root folds one ``_branch`` summary per principal
     branch, the root's children being the entries at level 1.
 
-    ``cache`` maps a branch's slice of the sequence to its summary, for
-    branches of at most ``_CACHED_BRANCH`` vertices, so a caller that passes
-    one dict for many trees walks each such branch once.  It changes no
-    result.  The root folds as the branch pass would: it is a leaf with at
-    most one child, takes itself when some branch root is not dominated from
-    below, and has degree equal to its child count.
+    A branch of at most ``_CACHED_BRANCH`` vertices is summarized once per
+    process and read back from ``_BRANCHES`` after that.  The root folds as
+    the branch pass would: it is a leaf with at most one child, takes itself
+    when some branch root is not dominated from below, and has degree equal
+    to its child count.
     """
     seq = tuple(seq)
-    if cache is None:
-        cache = {}
     n = len(seq)
     kids = seq.count(1)
     g = h = 1
@@ -223,11 +224,11 @@ def tree_record(seq: Sequence[int], cache: dict | None = None) -> TreeRecord:
     for b in range(kids):
         j = seq.index(1, i + 1) if b < kids - 1 else n
         key = seq[i:j]
-        part = cache.get(key)
+        part = _BRANCHES.get(key)
         if part is None:
             part = _branch(key)
             if j - i <= _CACHED_BRANCH:
-                cache[key] = part
+                _BRANCHES[key] = part
         bg, bh, bF, bH, bm, bfree, bd, bundom, btaken, bleaves, bdeg, up, blong = part
         g *= bg
         h *= bh
@@ -367,8 +368,7 @@ class TreeConstraint(NamedTuple):
         their tree_record; with no field set, every sequence and no record."""
         if self == TreeConstraint():
             return iter(seqs)
-        cache: dict = {}
-        return (seq for seq in seqs if self.admits(tree_record(seq, cache)))
+        return (seq for seq in seqs if self.admits(tree_record(seq)))
 
 
 def trees_matching(n: int, constraint: TreeConstraint) -> Iterator[Tree]:

@@ -179,12 +179,11 @@ def _merge_class(into: list, record: list, mode: str) -> None:
 def _scan_shard(tag: str, seqs: Iterable[tuple[int, ...]]) -> dict:
     """Aggregate the level sequences of one enumeration shard into one
     record per class: key -> [size, {qty: [extreme value, set of generator
-    level sequences]}].  One branch cache serves the shard's trees."""
+    level sequences]}]; every record reads the process's branch table."""
     th = _THEOREMS[tag]
     agg: dict = {}
-    cache: dict = {}
     for seq in seqs:
-        rec = tree_record(seq, cache)
+        rec = tree_record(seq)
         keys = th.keys(rec)
         if not keys:
             continue

@@ -8,8 +8,11 @@ principal-branch summaries.  Tier-1 recomputes the orders up to 16
 
     python tests/digests.py --n-min 17 --n-max 20 --jobs 2
 
-which prints one line per (tag, order) and exits 1 on any mismatch.
-``--print`` writes the table's lines instead of checking them.
+which prints one line per (tag, order) and exits 1 on any mismatch.  A
+check ends with the size of the process's branch table, which every tag and
+order has read in turn, and exits 1 if it holds more than the 7,813 entries
+stated at ``enumeration._CACHED_BRANCH``.  ``--print`` writes the table's
+lines instead of checking them.
 """
 
 from __future__ import annotations
@@ -20,9 +23,11 @@ import json
 import sys
 import time
 
+from treecount import enumeration
 from treecount.verify import THEOREM_TAGS, theorem_orders, verify_theorem
 
 TOP_ORDER = 20
+BRANCH_BOUND = 7813   # the rooted trees on 1..12 vertices
 
 
 def digest(tag: str, n: int, jobs: int = 1) -> str:
@@ -197,6 +202,12 @@ def main(argv: list[str] | None = None) -> int:
         ok = DIGESTS.get((tag, n)) == got
         bad += not ok
         print(f"{'ok' if ok else 'MISMATCH'} {tag} n={n} {took:.2f} s", flush=True)
+    if args.print:
+        return 0
+    size = len(enumeration._BRANCHES)
+    bad += size > BRANCH_BOUND
+    print(f"{'ok' if size <= BRANCH_BOUND else 'TOO LARGE'} branch table: "
+          f"{size} entries (bound {BRANCH_BOUND})")
     return 1 if bad else 0
 
 

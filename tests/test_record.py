@@ -1,8 +1,10 @@
 """The theorem scan's per-tree record, held to the reference routes: every
-tree up to n=16, alone and through one branch cache per order as the scan
-reads it, seeded random trees up to n=300, deep and wide trees of about
-5,000 vertices, branches on both sides of the cache's size cap, and random
-Pruefer trees from hypothesis."""
+tree up to n=16, from a cleared branch table and through the warm one,
+seeded random trees up to n=300, deep and wide trees of about 5,000
+vertices, branches on both sides of the table's size cap, and random
+Pruefer trees from hypothesis.  The table itself holds exactly the small
+branches the scan and the constrained listing have read, and no report
+depends on what it holds."""
 
 import random
 
@@ -11,12 +13,13 @@ from hypothesis import strategies as st
 import pytest
 
 from conftest import make_path, make_star
-from treecount import counting, invariants
-from treecount.enumeration import (_CACHED_BRANCH, TreeRecord, all_level_sequences,
-                                   random_labeled_tree, tree_from_prufer,
-                                   tree_record)
+from treecount import counting, enumeration, invariants
+from treecount.enumeration import (_CACHED_BRANCH, TreeConstraint, TreeRecord,
+                                   all_level_sequences, random_labeled_tree,
+                                   tree_from_prufer, tree_record)
 from treecount.families import FamilySpec, construct
 from treecount.tree import Tree, canonical_form, preorder, tree_from_level_sequence
+from treecount.verify import THEOREM_TAGS, _scan_shard, verify_theorem
 
 
 def reference(t: Tree) -> TreeRecord:
@@ -45,9 +48,12 @@ def test_every_tree_up_to_16(n):
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_every_tree_up_to_16_through_one_cache(n):
-    cache: dict = {}
-    for seq in all_level_sequences(n):
-        assert tree_record(seq, cache) == reference(tree_from_level_sequence(seq)), seq
+    """Every tree of order n from a cleared branch table, then every tree
+    again through the table the first pass filled."""
+    enumeration._BRANCHES.clear()
+    for _ in range(2):
+        for seq in all_level_sequences(n):
+            assert tree_record(seq) == reference(tree_from_level_sequence(seq)), seq
 
 
 def test_seeded_random_trees():
@@ -84,11 +90,12 @@ def test_deep_and_wide_trees(t, root):
 
 def test_branches_either_side_of_the_cache_cap():
     """Roots joining principal branches of 12 and 13 vertices, each twice,
-    through one cache: the record equals the reference, and the cache holds
-    exactly the branches of at most 12 vertices it has seen."""
+    from a cleared branch table: the record equals the reference, cold and
+    warm, and the table holds exactly the branches of at most 12 vertices it
+    has seen."""
     assert _CACHED_BRANCH == 12
     rng = random.Random(12)
-    cache: dict = {}
+    enumeration._BRANCHES.clear()
     seen = set()
     for _ in range(30):
         branches = []
@@ -99,9 +106,51 @@ def test_branches_either_side_of_the_cache_cap():
         seq = (0,) + sum(branches, ())
         seen.update(b for b in branches if len(b) <= 12)
         want = reference(tree_from_level_sequence(seq))
-        assert tree_record(seq, cache) == want
         assert tree_record(seq) == want
-    assert set(cache) == seen
+        assert tree_record(seq) == want
+    assert set(enumeration._BRANCHES) == seen
+
+
+def principal_branches(seq: tuple[int, ...]) -> list[tuple[int, ...]]:
+    cuts = [i for i, d in enumerate(seq) if d == 1] + [len(seq)]
+    return [seq[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def test_table_holds_the_small_branches_read():
+    """From a cleared table, the scan of every tag over every order up to 16,
+    and apart from it the constrained listing over the same orders, each
+    leave exactly the distinct principal branches of at most 12 vertices in
+    those sequences, within the bound stated at _CACHED_BRANCH."""
+    orders = [list(all_level_sequences(n)) for n in range(1, 17)]
+    want = {b for seqs in orders for seq in seqs for b in principal_branches(seq)
+            if len(b) <= 12}
+    assert len(want) <= 7813
+    enumeration._BRANCHES.clear()
+    for seqs in orders:
+        for tag in THEOREM_TAGS:
+            _scan_shard(tag, seqs)
+    assert set(enumeration._BRANCHES) == want
+    enumeration._BRANCHES.clear()
+    for seqs in orders:
+        list(TreeConstraint(matching=2).select(seqs))
+    assert set(enumeration._BRANCHES) == want
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_reports_do_not_depend_on_the_table(jobs):
+    """Every tag's default-range rows from a cleared table equal its rows
+    once every other tag has run in this process."""
+    def rows(tag):
+        return [r.to_json_dict() for r in verify_theorem(tag, jobs=jobs)]
+
+    cold = {}
+    for tag in THEOREM_TAGS:
+        enumeration._BRANCHES.clear()
+        cold[tag] = rows(tag)
+    for tag in THEOREM_TAGS:   # now every tag has run before the next pass
+        rows(tag)
+    for tag in THEOREM_TAGS:
+        assert rows(tag) == cold[tag], tag
 
 
 @settings(max_examples=150, deadline=None)

@@ -51,7 +51,7 @@ class TestATransform:
         with pytest.raises(BadAnchorError):
             a_transform(make_path(4), 2, 2)
 
-    @pytest.mark.parametrize("u, root", [(-1, 0), (3, -2), (0, 0), (9, 0)])
+    @pytest.mark.parametrize("u, root", [(-1, 0), (3, -2), (0, 0), (9, 0), (4, 0), (0, 4)])
     def test_pendant_path_test_refuses_bad_anchors(self, u, root):
         # the same refusal as a_transform, not a wrapped index or an IndexError
         message = f"^bad anchors u={u}, component_root={root}$"
@@ -92,6 +92,8 @@ class TestBTransform:
     def test_errors(self):
         with pytest.raises(BadAnchorError):
             b_transform(make_path(4), 0, 2)
+        with pytest.raises(BadAnchorError, match=r"^\(4, 3\) is not an edge$"):
+            b_transform(make_path(4), 4, 3)    # u one past the last vertex
         with pytest.raises(SideTooSmallError):
             b_transform(make_path(4), 0, 1)
 
@@ -144,6 +146,8 @@ class TestCTransform:
             c_transform(make_star(5), 0)       # unique center, no C' form
         with pytest.raises(BadAnchorError):
             c_transform(make_path(6), 1)       # degree 2 anchor
+        with pytest.raises(BadAnchorError, match="^vertex 5 out of range$"):
+            c_transform(make_star(5), 5)       # one past the last vertex
         # anchor whose child subtrees are all mid-attached (never pendant paths)
         t = Tree(11, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7),
                       (4, 8), (8, 9), (8, 10)])
@@ -203,6 +207,29 @@ class TestDispatch:
             apply_transform(t, TransformSpec(kind="C", v=0))
         with pytest.raises(BadAnchorError):
             apply_transform(t, TransformSpec(kind="Z", v=0))
+
+    def test_apply_is_the_rewrite(self):
+        # the worked example of TestCTransform: 3 is a C anchor, 1-2 an
+        # inner edge, and 0 cuts off the branch at 1
+        t = Tree(6, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)])
+        for spec, want in ((TransformSpec("A", u=0, component_root=1), a_transform(t, 0, 1)),
+                           (TransformSpec("a", u=0, component_root=1), a_transform(t, 0, 1)),
+                           (TransformSpec("B", u=1, v=2), b_transform(t, 1, 2)),
+                           (TransformSpec("C", v=3), c_transform(t, 3))):
+            assert apply_transform(t, spec) == want, spec
+
+    @pytest.mark.parametrize("spec, message", [
+        (TransformSpec("A", component_root=1), "A needs u and component_root"),
+        (TransformSpec("A", u=0), "A needs u and component_root"),
+        (TransformSpec("B", v=2), "B needs u and v"),
+        (TransformSpec("B", u=1), "B needs u and v"),
+        (TransformSpec("C"), "C needs v"),
+        (TransformSpec("Cprime"), "C needs v"),
+    ])
+    def test_apply_names_the_missing_anchor(self, spec, message):
+        t = Tree(6, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)])
+        with pytest.raises(BadAnchorError, match=f"^{message}$"):
+            apply_transform(t, spec)
 
 
 def _outcome(call, *args) -> str:

@@ -398,6 +398,11 @@ class TestPaths:
         assert path_between(make_path(4), 2, 2) == (2,)
         assert path_between(make_star(4), 1, 3) == (1, 0, 3)
 
+    @pytest.mark.parametrize("u, v", [(4, 0), (0, 4), (-1, 0), (0, -1)])
+    def test_path_between_out_of_range(self, u, v):
+        with pytest.raises(LabelOutOfRangeError, match=f"^vertex out of range: {u}, {v}$"):
+            path_between(make_path(4), u, v)
+
     def test_decomposition_endpoint_out_of_range(self):
         t = make_path(5)
         for x, y in ((5, 0), (0, 5), (-1, 0)):
