@@ -3,7 +3,8 @@
 Subcommands: count, construct, transform, enumerate, verify, profile.
 Data goes to stdout, diagnostics to stderr; output is byte-identical for a
 fixed argv (and seed).  Exit codes: 0 success, 1 verification failure,
-2 usage error, 141 (128 + SIGPIPE) when the reader of stdout has gone.
+2 usage error, 3 internal error (such as a shard that ended with no result),
+141 (128 + SIGPIPE) when the reader of stdout has gone.
 """
 
 from __future__ import annotations
@@ -304,6 +305,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, LookupError, OSError) as exc:
         print(f"treecount {args.command}: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:   # not a failed claim: the check itself broke
+        print(f"treecount {args.command}: internal error: {exc}", file=sys.stderr)
+        return 3
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

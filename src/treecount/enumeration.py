@@ -19,7 +19,6 @@ from __future__ import annotations
 import os
 import random
 from itertools import chain
-from operator import add
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .tree import Tree, tree_from_level_sequence
@@ -138,107 +137,39 @@ _CACHED_BRANCH = 12
 _BRANCHES: dict = {}
 
 
-def _branch(s: tuple[int, ...]) -> tuple:
-    """What the rooted branch with level sequence ``s`` (its root at s[0],
-    one level above the rest) hands its parent, in one leaves-up pass:
+def _join(parts: Sequence[tuple], rooted: bool) -> tuple:
+    """What a vertex, with a parent when ``rooted``, hands that parent from
+    what its child branches handed it (sums, counts and maxima over its
+    branch):
 
-        (g + 1, h + 1, sum of g, sum of h, matching, root still free,
-         domination, root not dominated from below, root taken,
+        (g + 1, h + 1, sum of g, sum of h, matching, vertex still free,
+         domination, vertex not dominated from below, vertex taken,
          leaves, largest degree, height + 1, longest path)
 
-    Vertex i of a preorder depth sequence hangs below the last vertex seen
-    one level up, so every child has a larger index than its parent and
-    ``range(m - 1, 0, -1)`` visits children first.  Each step is the loop
-    body of a reference route: the product passes of ``counting`` (g seeded
-    1; h seeded 1 and zeroed on leaves, giving the stem), the free-parent
-    matching greedy and the Cockayne-Goodman-Hedetniemi domination greedy of
-    ``invariants``, and the top two child heights of each vertex, whose sum
-    peaks at the longest path.  The branch root has a parent, so it is a
-    leaf when it has no child and its degree is its child count + 1.
+    The record's rules are stated here only, each the step of a reference
+    route: the product passes of ``counting`` (g the product of the
+    children's g + 1, h likewise but 0 on a leaf, giving the stem), the
+    free-parent matching greedy and the Cockayne-Goodman-Hedetniemi
+    domination greedy of ``invariants``, and the top two child heights,
+    whose sum peaks at the longest path.  A vertex is a leaf with at most
+    one neighbour and its degree counts its parent; it matches a free
+    child, and takes itself when a child is not dominated from below or,
+    with no parent, when nothing dominates it.
     """
-    m = len(s)
-    parent = [-1] * m
-    last = [0] * (max(s) + 1)
-    for i in range(1, m):
-        d = s[i]
-        parent[i] = last[d - 1]
-        last[d] = i
-    g = [1] * m
-    h = [1] * m
-    kids = [0] * m
-    free = [True] * m
-    taken = [False] * m
-    # dominated_below[v]: v or a child of v is taken; the branch root's
-    # parent -1 indexes the spare last slot
-    dominated_below = [False] * (m + 1)
-    high = [0] * m   # height of the subtree at v
-    low = [0] * m    # second largest child height + 1 (0 with fewer than two children)
-    matching = domination = leaves = 0
-    for v in range(m - 1, 0, -1):
-        p = parent[v]
-        if not kids[v]:
-            h[v] = 0
-            leaves += 1
-        kids[p] += 1
-        g[p] *= g[v] + 1
-        h[p] *= h[v] + 1
-        if free[v] and free[p]:
-            free[v] = free[p] = False
-            matching += 1
-        if not (dominated_below[v] or taken[p]):
-            taken[p] = dominated_below[p] = dominated_below[parent[p]] = True
-            domination += 1
-        up = high[v] + 1
-        if up > high[p]:
-            low[p] = high[p]
-            high[p] = up
-        elif up > low[p]:
-            low[p] = up
-    if not kids[0]:
-        h[0] = 0
-        leaves += 1
-    return (g[0] + 1, h[0] + 1, sum(g), sum(h), matching, free[0],
-            domination, not dominated_below[0], taken[0],
-            leaves, max(kids) + 1, high[0] + 1, max(map(add, high, low)))
-
-
-def tree_record(seq: Sequence[int]) -> TreeRecord:
-    """The TreeRecord of the tree with this (valid) level sequence, without
-    building a Tree: the root folds one ``_branch`` summary per principal
-    branch, the root's children being the entries at level 1.
-
-    A branch of at most ``_CACHED_BRANCH`` vertices is summarized once per
-    process and read back from ``_BRANCHES`` after that.  The root folds as
-    the branch pass would: it is a leaf with at most one child, takes itself
-    when some branch root is not dominated from below, and has degree equal
-    to its child count.
-    """
-    seq = tuple(seq)
-    n = len(seq)
-    kids = seq.count(1)
     g = h = 1
     F = H = matching = domination = leaves = longest = top = second = 0
-    degree = kids
-    free = undominated = taken = False
-    i = 1
-    for b in range(kids):
-        j = seq.index(1, i + 1) if b < kids - 1 else n
-        key = seq[i:j]
-        part = _BRANCHES.get(key)
-        if part is None:
-            part = _branch(key)
-            if j - i <= _CACHED_BRANCH:
-                _BRANCHES[key] = part
-        bg, bh, bF, bH, bm, bfree, bd, bundom, btaken, bleaves, bdeg, up, blong = part
+    degree = own = len(parts) + rooted
+    matched = undominated = dominated = False
+    for bg, bh, bF, bH, bm, bfree, bd, bundom, btaken, bleaves, bdeg, up, blong in parts:
         g *= bg
         h *= bh
         F += bF
         H += bH
         matching += bm
-        free = free or bfree
+        matched = matched or bfree
         domination += bd
         undominated = undominated or bundom
-        taken = taken or btaken
+        dominated = dominated or btaken
         leaves += bleaves
         if bdeg > degree:
             degree = bdeg
@@ -249,14 +180,60 @@ def tree_record(seq: Sequence[int]) -> TreeRecord:
             top = up
         elif up > second:
             second = up
-        i = j
-    if kids <= 1:   # the root is a leaf
+    taken = undominated or not (dominated or rooted)
+    if own <= 1:   # a leaf
         h = 0
         leaves += 1
-    F += g
-    return TreeRecord(n, F, F - h - H, matching + free, domination + undominated
-                      + (not (undominated or taken)),
-                      max(longest, top + second), leaves, degree)
+    if top + second > longest:
+        longest = top + second
+    return (g + 1, h + 1, F + g, H + h, matching + matched, not matched,
+            domination + taken, not (taken or dominated), taken,
+            leaves, degree, top + 1, longest)
+
+
+_LEAF = _join((), True)
+
+
+def _branch(s: tuple[int, ...]) -> tuple:
+    """The ``_join`` summary of the rooted branch with level sequence ``s``,
+    its root at s[0] with a parent one level up.  Each vertex hangs below
+    the last vertex seen one level up, so read backwards, the summaries
+    waiting one level below a vertex are its children's: it joins them (a
+    leaf hands on ``_LEAF``) and waits at its own level, with no recursion."""
+    below = [[] for _ in range(max(s) + 2)]   # summaries waiting at each level
+    for d in reversed(s):
+        kids = below[d + 1]
+        if kids:
+            below[d + 1] = []
+            below[d].append(_join(kids, True))
+        else:
+            below[d].append(_LEAF)
+    return below[s[0]][0]
+
+
+def tree_record(seq: Sequence[int]) -> TreeRecord:
+    """The TreeRecord of the tree with this (valid) level sequence, without
+    building a Tree: the root, with no parent, joins the ``_branch`` summary
+    of each principal branch (the root's children are the entries at level
+    1), one of at most ``_CACHED_BRANCH`` vertices made once per process and
+    read back from ``_BRANCHES`` after that."""
+    seq = tuple(seq)
+    n = len(seq)
+    kids = seq.count(1)
+    parts = []
+    i = 1
+    for b in range(kids):
+        j = seq.index(1, i + 1) if b < kids - 1 else n
+        key = seq[i:j]
+        part = _BRANCHES.get(key)
+        if part is None:
+            part = _branch(key)
+            if j - i <= _CACHED_BRANCH:
+                _BRANCHES[key] = part
+        parts.append(part)
+        i = j
+    _, _, F, H, matching, _, domination, _, _, leaves, degree, _, diameter = _join(parts, False)
+    return TreeRecord(n, F, F - H, matching, domination, diameter, leaves, degree)
 
 
 def map_shards(fn: Callable[[Iterator[tuple[int, ...]]], _R],

@@ -1,16 +1,19 @@
 import argparse
 import hashlib
 import json
+import os
 import sys
 
 import jsonschema
 import pytest
 
+from treecount import verify
 from treecount.cli import _build_parser, main
 from treecount.enumeration import TreeConstraint
 from treecount.families import FamilySpec
 from treecount.schemas import (COUNT_REPORT_SCHEMA, PROFILE_SCHEMA,
                                TRANSFORM_DELTA_SCHEMA, VERIFICATION_SCHEMA)
+from treecount.tree import Tree
 from treecount.verify import THEOREM_TAGS
 
 
@@ -248,6 +251,35 @@ class TestVerify:
                                "--n-min", "3", "--n-max", "3",
                                "--formula-variant", "product")
         assert code == 1 and "FAIL" in out
+
+    def assert_internal_error(self, capsys, argv, message):
+        """Status 3, not a failed claim's 1: one stderr line, no report."""
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 3 and out == ""
+        assert err.splitlines() == [f"treecount verify: internal error: {message}"]
+
+    def test_shard_without_a_result_is_an_internal_error(self, capsys, monkeypatch):
+        # the forked shard leaves as one killed from outside would, before replying
+        parent, scan = os.getpid(), verify._scan_shard
+
+        def vanish_in_child(tag, seqs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return scan(tag, seqs)
+
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr(verify, "_scan_shard", vanish_in_child)
+        self.assert_internal_error(
+            capsys, ["--theorem", "T4.1", "--n-min", "8", "--n-max", "8", "--jobs", "2"],
+            "shard 1 of 2 ended with no result (exit status 3)")
+
+    def test_broken_lemma_generator_is_an_internal_error(self, capsys, monkeypatch):
+        # sides grown into a single vertex break the suite's own hypothesis
+        monkeypatch.setattr(verify, "_grow", lambda t, root, rng, extra: (Tree(1, []), 0))
+        self.assert_internal_error(
+            capsys, ["--lemma", "path-comparison", "--samples", "50", "--seed", "5"],
+            "path-comparison seed 5: the instance generator broke the side-domination "
+            "hypothesis")
 
     def test_lemma_run(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--lemma", "L3.2",
