@@ -19,7 +19,7 @@ from .transforms import (TransformSpec, a_transform, apply_transform, b_transfor
 from .tree import (CanonicalForm, PathDecomposition, RootedComponent, Tree,
                    canonical_form, centers, is_isomorphic, parse_tree,
                    path_between, path_decomposition, serialize_tree,
-                   strip_leaves, tree_from_level_sequence)
+                   tree_from_level_sequence)
 from .verify import (LEMMA_TAGS, THEOREM_TAGS, VerificationResult,
                      run_lemma_suite, verify_theorem)
 
@@ -34,7 +34,7 @@ __all__ = [
     "count_subtrees_at", "count_subtrees_at_pair", "domination_number",
     "has_perfect_matching", "invariant_profile", "is_isomorphic",
     "matching_number", "parse_tree", "path_between", "path_decomposition",
-    "random_labeled_tree", "run_lemma_suite", "serialize_tree", "strip_leaves",
+    "random_labeled_tree", "run_lemma_suite", "serialize_tree",
     "subtree_totals", "tree_from_prufer", "tree_from_level_sequence",
     "trees_matching", "verify_theorem", "wiener_index",
 ]

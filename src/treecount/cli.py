@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
 from functools import partial
 from typing import Iterable
 
@@ -210,27 +209,33 @@ def _cmd_verify(args) -> int:
     for k, default in own.items():
         if getattr(args, k) is None:
             setattr(args, k, default)
-    # the scan's own usage checks are made here too, so that a usage error
-    # leaves an existing --json PATH as it was
     if args.theorem:
         orders = theorem_orders(args.theorem, args.n_min, args.n_max)
-        if args.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {args.jobs}")
         scan = partial(verify_theorem, args.theorem, n_min=args.n_min, n_max=args.n_max,
                        jobs=args.jobs, formula_variant=args.formula_variant)
         header = (f"# theorem={args.theorem} n={orders[0]}..{orders[-1]} "
                   f"jobs={args.jobs} formula={args.formula_variant}")
     else:
-        if args.samples < 1:
-            raise ValueError("samples must be >= 1")
         scan = partial(run_lemma_suite, args.lemma, samples=args.samples, seed=args.seed)
         header = f"# lemma={args.lemma} samples={args.samples} seed={args.seed}"
-    # a report path that cannot be opened fails the command before the scan
-    with open(args.json, "w", encoding="ascii") if args.json else nullcontext() as report:
+    part = None
+    if args.json:
+        # the report is written beside PATH's target and replaces it once whole, so a
+        # failed run leaves PATH as it was; a PATH that cannot take one fails first
+        path = os.path.realpath(args.json)
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path)):
+            raise OSError(f"{args.json} is not a file in an existing directory")
+        part = open(f"{path}.{os.getpid()}.part", "w", encoding="ascii")
+    try:
         results = scan()
-        if report is not None:
-            json.dump([r.to_json_dict() for r in results], report, indent=2)
-            report.write("\n")
+        if part is not None:
+            with part:
+                part.write(json.dumps([r.to_json_dict() for r in results], indent=2) + "\n")
+            os.replace(part.name, path)
+    finally:
+        if part is not None and os.path.exists(part.name):
+            part.close()
+            os.remove(part.name)
     print(header)
     if args.csv:
         rows = [[r.theorem, r.n if r.n is not None else "",

@@ -27,10 +27,6 @@ class NotATreeError(ValueError):
     """Edge set with a cycle, a disconnection, or the wrong edge count."""
 
 
-class DegenerateTreeError(ValueError):
-    """The tree is too small for the requested operation."""
-
-
 class NotALeafError(ValueError):
     """A vertex that was required to be a leaf is not one."""
 
@@ -332,13 +328,6 @@ def induced_subtree(t: Tree, keep: Iterable[int]) -> tuple[Tree, dict[int, int]]
         if w > v and w in old_to_new
     ]
     return Tree(len(kept), edges), old_to_new
-
-
-def strip_leaves(t: Tree) -> tuple[Tree, dict[int, int]]:
-    """Delete every pendant vertex, returning the stem and an old->new map."""
-    if t.n <= 2:
-        raise DegenerateTreeError("every vertex of a tree on <= 2 vertices is a leaf")
-    return induced_subtree(t, (v for v in range(t.n) if t.degree(v) > 1))
 
 
 def path_between(t: Tree, u: int, v: int) -> tuple[int, ...]:

@@ -3,7 +3,8 @@
 Everything here recomputes quantities by routes deliberately different from
 the package: isomorphism-class counts by Pruefer decoding + interned AHU keys
 and by the rooted-tree Euler transform, matching/domination by raw subset
-enumeration, and every subtree count by walking all 2^n vertex subsets.
+enumeration, every subtree count by walking all 2^n vertex subsets, and the
+leafless stem that ``counting`` never builds.
 
 numpy is imported inside the functions that use it.
 """
@@ -15,7 +16,7 @@ import operator
 from typing import TYPE_CHECKING
 
 from treecount.counting import CountReport
-from treecount.tree import LabelOutOfRangeError, NotATreeError, Tree
+from treecount.tree import LabelOutOfRangeError, NotATreeError, Tree, induced_subtree
 
 if TYPE_CHECKING:
     import numpy as np
@@ -282,6 +283,17 @@ def brute_domination(t: Tree) -> int:
         if cover == full:
             best = size
     return best
+
+
+class DegenerateTreeError(ValueError):
+    """The tree is too small for the requested operation."""
+
+
+def strip_leaves(t: Tree) -> tuple[Tree, dict[int, int]]:
+    """Delete every pendant vertex, returning the stem and an old->new map."""
+    if t.n <= 2:
+        raise DegenerateTreeError("every vertex of a tree on <= 2 vertices is a leaf")
+    return induced_subtree(t, (v for v in range(t.n) if t.degree(v) > 1))
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,12 @@ import sys
 import jsonschema
 import pytest
 
+from schemas import (COUNT_REPORT_SCHEMA, PROFILE_SCHEMA, TRANSFORM_DELTA_SCHEMA,
+                     VERIFICATION_SCHEMA)
 from treecount import verify
 from treecount.cli import _build_parser, main
 from treecount.enumeration import TreeConstraint
 from treecount.families import FamilySpec
-from treecount.schemas import (COUNT_REPORT_SCHEMA, PROFILE_SCHEMA,
-                               TRANSFORM_DELTA_SCHEMA, VERIFICATION_SCHEMA)
 from treecount.tree import Tree
 from treecount.verify import THEOREM_TAGS
 
@@ -110,16 +110,25 @@ class TestConstruct:
         assert out.split() == [str(d) for d in (0, *range(1, 1500), *range(1, 1501))]
 
     def test_closed_form_past_int_str_limit(self, capsys):
+        # main lifts the process-wide limit while it runs and puts back the one
+        # it found, which is set here so that no earlier test can have left 0
         before = sys.get_int_max_str_digits()
-        code, out, _ = run_cli(capsys, "construct", "--family", "star",
-                               "--n", "20000", "--closed-form", "F")
-        assert code == 0 and sys.get_int_max_str_digits() == before
-        value, _ = out.split(" ", 1)
-        sys.set_int_max_str_digits(0)
+        sys.set_int_max_str_digits(5000)
         try:
+            code, out, _ = run_cli(capsys, "construct", "--family", "star",
+                                   "--n", "20000", "--closed-form", "F")
+            assert code == 0 and sys.get_int_max_str_digits() == 5000
+            value, _ = out.split(" ", 1)
+            sys.set_int_max_str_digits(0)
             assert value == str(2 ** 19999 + 19999)
         finally:
             sys.set_int_max_str_digits(before)
+
+    def test_missing_formula_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "construct", "--family", "star", "--n", "2",
+                                 "--closed-form", "Fstar")
+        assert code == 2 and out == ""
+        assert err == "treecount construct: star leaf-subtree form needs n >= 3\n"
 
     def test_bad_params_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "construct", "--family", "a_nq",
@@ -258,28 +267,129 @@ class TestVerify:
         assert code == 3 and out == ""
         assert err.splitlines() == [f"treecount verify: internal error: {message}"]
 
-    def test_shard_without_a_result_is_an_internal_error(self, capsys, monkeypatch):
-        # the forked shard leaves as one killed from outside would, before replying
+    _SHARDED = ["--theorem", "T4.1", "--n-min", "8", "--n-max", "8", "--jobs", "2"]
+    _PATH_COMPARISON = ["--lemma", "path-comparison", "--samples", "50", "--seed", "5"]
+
+    @staticmethod
+    def vanish_in_child(monkeypatch):
+        """The forked shard leaves as one killed from outside would, before replying."""
         parent, scan = os.getpid(), verify._scan_shard
 
-        def vanish_in_child(tag, seqs):
+        def vanish(tag, seqs):
             if os.getpid() != parent:
                 os._exit(3)
             return scan(tag, seqs)
 
         monkeypatch.setattr("os.cpu_count", lambda: 2)
-        monkeypatch.setattr(verify, "_scan_shard", vanish_in_child)
-        self.assert_internal_error(
-            capsys, ["--theorem", "T4.1", "--n-min", "8", "--n-max", "8", "--jobs", "2"],
-            "shard 1 of 2 ended with no result (exit status 3)")
+        monkeypatch.setattr(verify, "_scan_shard", vanish)
+
+    @staticmethod
+    def break_generator(monkeypatch):
+        """Sides grown into a single vertex break the suite's own hypothesis."""
+        monkeypatch.setattr(verify, "_grow", lambda t, root, rng, extra: (Tree(1, []), 0))
+
+    def test_shard_without_a_result_is_an_internal_error(self, capsys, monkeypatch):
+        self.vanish_in_child(monkeypatch)
+        self.assert_internal_error(capsys, self._SHARDED,
+                                   "shard 1 of 2 ended with no result (exit status 3)")
 
     def test_broken_lemma_generator_is_an_internal_error(self, capsys, monkeypatch):
-        # sides grown into a single vertex break the suite's own hypothesis
-        monkeypatch.setattr(verify, "_grow", lambda t, root, rng, extra: (Tree(1, []), 0))
+        self.break_generator(monkeypatch)
         self.assert_internal_error(
-            capsys, ["--lemma", "path-comparison", "--samples", "50", "--seed", "5"],
+            capsys, self._PATH_COMPARISON,
             "path-comparison seed 5: the instance generator broke the side-domination "
             "hypothesis")
+
+    def report_run(self, capsys, tmp_path, argv, before):
+        """verify with --json PATH, PATH alone in its directory and holding
+        ``before`` (None: absent); (status, stdout, PATH's bytes or None, the
+        directory's files)."""
+        path = tmp_path / "out" / "r.json"
+        path.parent.mkdir()
+        if before is not None:
+            path.write_bytes(before)
+        code, out, _ = run_cli(capsys, "verify", *argv, "--json", str(path))
+        after = path.read_bytes() if path.exists() else None
+        return code, out, after, sorted(os.listdir(path.parent))
+
+    @pytest.mark.parametrize("failure", ["broken generator", "vanished shard"])
+    def test_internal_error_leaves_report_path_alone(self, capsys, monkeypatch, tmp_path,
+                                                     failure):
+        if failure == "broken generator":
+            self.break_generator(monkeypatch)
+            argv = self._PATH_COMPARISON
+        else:
+            self.vanish_in_child(monkeypatch)
+            argv = self._SHARDED
+        got = self.report_run(capsys, tmp_path, argv, b"keep\n")
+        assert got == (3, "", b"keep\n", ["r.json"])
+
+    @pytest.mark.parametrize("argv", [["--theorem", "T4.1", "--n-max", "6", "--jobs", "0"],
+                                      ["--lemma", "L3.2", "--samples", "0"],
+                                      _SHARDED],
+                             ids=["jobs 0", "samples 0", "no pipe for a shard"])
+    def test_usage_error_leaves_absent_report_path_absent(self, capsys, monkeypatch,
+                                                          tmp_path, argv):
+        # the sharded run fails mid-scan: its shard finds no pipe to reply through
+        def no_pipe():
+            raise OSError(24, "Too many open files")
+
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setattr("os.pipe", no_pipe)
+        assert self.report_run(capsys, tmp_path, argv, None) == (2, "", None, [])
+
+    def test_interrupt_leaves_report_path_alone(self, monkeypatch, tmp_path):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr("treecount.cli.run_lemma_suite", interrupted)
+        monkeypatch.setattr("treecount.cli.open", recording_open, raising=False)
+        path = tmp_path / "r.json"
+        path.write_bytes(b"keep\n")
+        with pytest.raises(KeyboardInterrupt):
+            main(["verify", "--lemma", "L3.2", "--json", str(path)])
+        assert path.read_bytes() == b"keep\n" and os.listdir(tmp_path) == ["r.json"]
+        assert len(opened) == 1 and opened[0].closed
+
+    def test_stale_part_file_is_overwritten(self, capsys, tmp_path):
+        # one left by an earlier run of the same pid that was killed outright
+        path = tmp_path / "r.json"
+        (tmp_path / f"r.json.{os.getpid()}.part").write_bytes(b"stale\n")
+        code, _, _ = run_cli(capsys, "verify", "--theorem", "T4.8", "--n-max", "8",
+                             "--formula-variant", "product", "--json", str(path))
+        assert code == 1 and os.listdir(tmp_path) == ["r.json"]
+        assert sha256(path.read_bytes()) == _PRODUCT_REPORT_SHA256[0]
+
+    @pytest.mark.parametrize("where", ["directory", "missing parent"])
+    def test_unopenable_report_path_message(self, capsys, tmp_path, where):
+        path = tmp_path if where == "directory" else tmp_path / "absent" / "r.json"
+        code, _, err = run_cli(capsys, "verify", "--lemma", "L3.2", "--json", str(path))
+        assert code == 2
+        assert err == f"treecount verify: {path} is not a file in an existing directory\n"
+
+    def test_failed_claim_replaces_report(self, capsys, tmp_path):
+        code, out, after, files = self.report_run(
+            capsys, tmp_path, ["--theorem", "T4.8", "--n-max", "8",
+                               "--formula-variant", "product"], b"keep\n")
+        assert code == 1 and "FAIL" in out and files == ["r.json"]
+        assert sha256(after) == _PRODUCT_REPORT_SHA256[0]
+
+    def test_report_replaces_a_symlinked_paths_target(self, capsys, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_bytes(b"keep\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        code, _, _ = run_cli(capsys, "verify", "--theorem", "T4.8", "--n-max", "8",
+                             "--formula-variant", "product", "--json", str(link))
+        assert code == 1 and link.is_symlink()
+        assert sha256(target.read_bytes()) == _PRODUCT_REPORT_SHA256[0]
+        assert sorted(os.listdir(tmp_path)) == ["link.json", "target.json"]
 
     def test_lemma_run(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--lemma", "L3.2",
@@ -300,7 +410,7 @@ class TestVerify:
     def test_flags_of_other_mode_rejected(self, capsys, argv, stray):
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2 and out == ""
-        assert all(flag in err for flag in stray)
+        assert err == f"verify: {' '.join(stray)} cannot be used with {argv[0]}\n"
 
     @pytest.mark.parametrize("argv, header", [
         (["--lemma", "L3.2", "--samples", "40"], "# lemma=L3.2 samples=40 seed=0"),
@@ -310,6 +420,25 @@ class TestVerify:
     def test_defaults_fill_the_header(self, capsys, argv, header):
         code, out, _ = run_cli(capsys, "verify", *argv)
         assert code == 0 and out.splitlines()[0] == header
+
+    @pytest.mark.parametrize("argv, rows", [
+        (["--lemma", "L3.2", "--samples", "5", "--seed", "1"],
+         ['pass L3.2 {"samples": 5, "seed": 1}']),
+        (["--lemma", "L3.2", "--samples", "5", "--seed", "1", "--csv"],
+         ["theorem,n,constraint,claimed,achieved,result",
+          'L3.2,,"{""samples"": 5, ""seed"": 1}",,,pass']),
+        (["--theorem", "T4.4", "--n-max", "6"],
+         ['pass T4.4 n=6 {"gamma": 2, "quantity": "F"} claimed=21 achieved=21 class=4',
+          'pass T4.4 n=6 {"gamma": 2, "quantity": "Fstar"} claimed=11 achieved=11 class=4']),
+        (["--theorem", "T4.4", "--n-max", "6", "--csv"],
+         ["theorem,n,constraint,claimed,achieved,result",
+          'T4.4,6,"{""gamma"": 2, ""quantity"": ""F""}",21,21,pass',
+          'T4.4,6,"{""gamma"": 2, ""quantity"": ""Fstar""}",11,11,pass']),
+    ])
+    def test_rows_of_each_mode(self, capsys, argv, rows):
+        # a lemma row has no order, claim or class; a theorem row has all three
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 0 and out.splitlines()[1:-1] == rows
 
     def test_requires_exactly_one_target(self, capsys):
         code, _, err = run_cli(capsys, "verify")

@@ -11,9 +11,8 @@ from treecount.counting import (anchored_counts, count_leaf_subtrees,
                                 subtree_totals, wiener_index)
 from treecount.enumeration import all_trees, random_labeled_tree
 from treecount.families import FamilySpec, closed_form, construct
-from bruteforce import TooLargeError, oracle_counts, oracle_pair_count
-from treecount.tree import (LabelOutOfRangeError, Tree, induced_subtree,
-                            path_between, strip_leaves)
+from bruteforce import TooLargeError, oracle_counts, oracle_pair_count, strip_leaves
+from treecount.tree import LabelOutOfRangeError, Tree, induced_subtree, path_between
 
 
 class TestTotals:
@@ -220,7 +219,6 @@ def test_big_counts_stay_exact():
 
 def test_report_invariants_small_orders():
     # F >= Fstar, F >= n, every anchored count >= 1, and the stem identity
-    from treecount.tree import strip_leaves
     for n in range(1, 10):
         for t in all_trees(n):
             rep = count_report(t)

@@ -95,18 +95,49 @@ class TestImports:
         assert two[2:] == [0, one[3].replace("jobs=1", "jobs=2"), ""]
 
     def test_cli_import_loads_no_oracle_or_pickle(self):
-        # the brute-force oracles live in the tests, and only a forked shard pickles
+        # the brute-force oracles and the JSON schemas live in the tests, and
+        # only a forked shard pickles
         added, _ = run_child()
         assert "treecount.cli" in added
         assert importlib.util.find_spec("treecount.oracle") is None
+        assert importlib.util.find_spec("treecount.schemas") is None
         assert "pickle" not in added
+
+
+# Calls main() with stdout a pipe whose reader has gone, then writes main's
+# status and how many more descriptors are open than before the call to stderr.
+CLOSED_STDOUT = r"""
+import os
+import treecount.cli
+
+def lowest_free():
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.close(fd)
+    return fd
+
+read_end, write_end = os.pipe()
+os.close(read_end)
+os.dup2(write_end, 1)
+os.close(write_end)
+before = lowest_free()
+status = treecount.cli.main(["construct", "--family", "star", "--n", "3"])
+os.write(2, b"%d %d" % (status, lowest_free() - before))
+"""
+
+
+def buffered_env() -> dict:
+    """child_env() with stdout block-buffered, as it is for a pipe by default,
+    so that a closed pipe can first be met when the buffer is flushed."""
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
 
 
 class TestClosedPipe:
     def start(self, *argv: str) -> subprocess.Popen:
         return subprocess.Popen([sys.executable, "-m", "treecount.cli", *argv],
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                env=child_env())
+                                env=buffered_env())
 
     def finish(self, proc: subprocess.Popen) -> tuple[int, bytes]:
         proc.stdout.close()
@@ -131,6 +162,13 @@ class TestClosedPipe:
         # verify writes its report only at the end, so the pipe is closed first
         proc = self.start("verify", "--theorem", "T4.1", "--n-max", "10")
         assert self.finish(proc) == (141, b"")
+
+    def test_closed_pipe_in_process(self):
+        # a few bytes that sit in the buffer until main flushes them; main
+        # leaves stdout on the null device and no descriptor of its own open
+        done = subprocess.run([sys.executable, "-c", CLOSED_STDOUT], capture_output=True,
+                              timeout=120, env=buffered_env())
+        assert (done.returncode, done.stderr) == (0, b"141 0")
 
 
 # Runs map_shards over two shards of order 14 (3,159 sequences in 303 runs)

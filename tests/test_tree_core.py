@@ -7,16 +7,14 @@ from typing import NamedTuple
 
 import pytest
 
-from bruteforce import reference_tree
+from bruteforce import DegenerateTreeError, reference_tree, strip_leaves
 from conftest import LARGE_SHAPES, large_shape, make_path, make_star, relabeled
 from treecount.enumeration import all_trees, random_labeled_tree
 from treecount.families import FamilySpec, construct
-from treecount.tree import (DegenerateTreeError, LabelOutOfRangeError,
-                            MalformedInputError, NotALeafError, NotATreeError,
-                            TooCloseError, Tree, canonical_form, centers,
+from treecount.tree import (LabelOutOfRangeError, MalformedInputError, NotALeafError,
+                            NotATreeError, TooCloseError, Tree, canonical_form, centers,
                             diameter_and_centers, is_isomorphic, parse_tree,
-                            path_between, path_decomposition, serialize_tree,
-                            strip_leaves)
+                            path_between, path_decomposition, serialize_tree)
 
 
 class TestParse:

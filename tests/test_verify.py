@@ -7,12 +7,12 @@ import jsonschema
 import pytest
 
 import digests
+from schemas import VERIFICATION_SCHEMA
 
 from treecount import cli, counting, invariants, verify
 from treecount.enumeration import _runs, all_level_sequences, all_trees, tree_record
 from treecount.families import (BadParamsError, FamilySpec, NoFormulaError, closed_form,
                                 construct)
-from treecount.schemas import VERIFICATION_SCHEMA
 from treecount.tree import Tree, canonical_form, parse_tree, serialize_tree
 from treecount.verify import (LEMMA_TAGS, THEOREM_TAGS, UnknownTagError,
                               run_lemma_suite, theorem_orders, verify_theorem)
