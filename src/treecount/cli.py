@@ -182,12 +182,8 @@ def _cmd_enumerate(args) -> int:
         _write_csv(["n", "edges"], ([args.n, " ".join(f"{u}-{v}" for u, v in t.edges)]
                                     for t in trees))
         return 0
-    first = True
-    for t in trees:
-        if not first:
-            print()
-        print(serialize_tree(t), end="")
-        first = False
+    for i, t in enumerate(trees):   # a blank line between trees
+        print(("\n" if i else "") + serialize_tree(t), end="")
     return 0
 
 
@@ -268,9 +264,8 @@ def _cmd_profile(args) -> int:
     if args.json:
         print(_dump(d))
     elif args.csv:
-        keys = list(d)
-        _write_csv(keys, [[d[k] if k != "centers" else " ".join(map(str, d[k]))
-                           for k in keys]])
+        _write_csv(list(d), [[d[k] if k != "centers" else " ".join(map(str, d[k]))
+                              for k in d]])
     else:
         for k, v in d.items():
             print(f"{k} = {v}")

@@ -106,12 +106,6 @@ def all_level_sequences(n: int) -> Iterator[tuple[int, ...]]:
     return chain.from_iterable(_runs(n))
 
 
-def all_trees(n: int) -> Iterator[Tree]:
-    """One Tree per isomorphism class on n vertices, in a deterministic order."""
-    for seq in all_level_sequences(n):
-        yield tree_from_level_sequence(seq)
-
-
 class TreeRecord(NamedTuple):
     """Every quantity the theorem scan reads off one tree."""
 
@@ -294,7 +288,12 @@ def _fork_shard(fn: Callable, orders: Sequence[int], shard: int,
     import pickle
     caller = os.getpid()
     read_end, write_end = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:   # no child: neither end has a reader or a writer
+        os.close(read_end)
+        os.close(write_end)
+        raise
     if pid == 0:
         # the child never returns into the caller's stack and flushes none of
         # its buffers; it leaves with status 1 and nothing written on failure,
@@ -351,6 +350,11 @@ class TreeConstraint(NamedTuple):
 def trees_matching(n: int, constraint: TreeConstraint) -> Iterator[Tree]:
     """All non-isomorphic trees on n vertices satisfying the constraint."""
     return map(tree_from_level_sequence, constraint.select(all_level_sequences(n)))
+
+
+def all_trees(n: int) -> Iterator[Tree]:
+    """One Tree per isomorphism class on n vertices, in generation order."""
+    return trees_matching(n, TreeConstraint())
 
 
 def tree_from_prufer(seq: Sequence[int]) -> Tree:

@@ -281,19 +281,17 @@ def closed_form(spec: FamilySpec, which: str, binomial_term: str = "sum") -> Clo
             value = (lo + 1) ** i * (hi + 1) ** j - lo ** i * hi ** j + (n - 1)
         return ClosedForm(spec, which, value, "T4.7")
 
-    if fam == "hat":
-        n, d, k = params
-        if k not in (d // 2 + 1, (d + 1) // 2 + 1):
-            raise NoFormulaError("closed form only at the balanced attachment position")
-        a = d // 2
-        b = (d + 1) // 2
-        if binomial_term == "sum":
-            tail = comb(a + 1, 2) + comb(b + 1, 2)
-        else:
-            tail = comb(a + 1, 2) * comb(b + 1, 2)
-        value = 2 ** (n - d - 1) * (a + 1) * (b + 1) + tail + (n - d - 1)
-        if which == "Fstar":
-            value -= comb(d, 2)
-        return ClosedForm(spec, which, value, "T4.8")
-
-    raise BadParamsError(f"unknown family {fam!r}")
+    # hat, the one family left: _check_params refused any other
+    n, d, k = params
+    if k not in (d // 2 + 1, (d + 1) // 2 + 1):
+        raise NoFormulaError("closed form only at the balanced attachment position")
+    a = d // 2
+    b = (d + 1) // 2
+    if binomial_term == "sum":
+        tail = comb(a + 1, 2) + comb(b + 1, 2)
+    else:
+        tail = comb(a + 1, 2) * comb(b + 1, 2)
+    value = 2 ** (n - d - 1) * (a + 1) * (b + 1) + tail + (n - d - 1)
+    if which == "Fstar":
+        value -= comb(d, 2)
+    return ClosedForm(spec, which, value, "T4.8")

@@ -54,10 +54,9 @@ def _branch(t: Tree, u: int, component_root: int) -> set[int]:
 
 
 def is_pendant_path_component(t: Tree, u: int, component_root: int) -> bool:
-    """True if the branch of t - u holding component_root, together with u,
-    forms a path ending at u."""
-    comp = _branch(t, u, component_root)
-    return sum(w in comp for w in t.adj[u]) == 1 and all(len(t.adj[c]) <= 2 for c in comp)
+    """Whether the branch of t - u holding component_root forms, with u, a
+    path ending at u: it holds one neighbour of u, so its degrees decide."""
+    return all(len(t.adj[c]) <= 2 for c in _branch(t, u, component_root))
 
 
 def a_transform(t: Tree, u: int, component_root: int) -> tuple[Tree, dict[int, int]]:

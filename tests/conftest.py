@@ -76,3 +76,12 @@ def forks(monkeypatch):
 
     monkeypatch.setattr(os, "fork", recording_fork)
     return pids
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    """``os.fork`` fails as it does when no process can be started."""
+    def fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)

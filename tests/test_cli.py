@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import io
 import json
 import os
 import sys
@@ -83,6 +84,32 @@ class TestCount:
         f.write_text(text)
         code, out, err = run_cli(capsys, "count", "--input", str(f))
         assert (code, out, err) == (2, "", f"treecount count: {message}\n")
+
+
+class TestInput:
+    @pytest.mark.parametrize("text, fmt, message", [
+        ("", "edgelist", "empty input"),
+        ("", "levelseq", "empty input"),
+        ("0\n", "edgelist", "vertex count must be positive"),
+        ("1 2 2\n", "levelseq", "level sequence must start at depth 0"),
+        ("0 1 x\n", "levelseq", "level sequence entries must be integers"),
+    ])
+    @pytest.mark.parametrize("command", ["count", "profile"])
+    def test_bad_input_is_one_line(self, capsys, tmp_path, command, text, fmt, message):
+        f = tmp_path / "bad.tree"
+        f.write_text(text)
+        got = run_cli(capsys, command, "--input", str(f), "--format", fmt)
+        assert got == (2, "", f"treecount {command}: {message}\n")
+
+    @pytest.mark.parametrize("command", ["count", "profile", "transform"])
+    def test_stdin_is_read_for_dash(self, capsys, monkeypatch, p5_file, command):
+        argv = [command, "--json"] + (["--kind", "B", "--u", "1", "--v", "2"]
+                                      if command == "transform" else [])
+        want = run_cli(capsys, *argv, "--input", p5_file)
+        with open(p5_file) as fh:
+            monkeypatch.setattr("sys.stdin", io.StringIO(fh.read()))
+        assert run_cli(capsys, *argv, "--input", "-") == want
+        assert want[0] == 0
 
 
 class TestConstruct:
@@ -207,6 +234,14 @@ class TestEnumerate:
             assert int(count) == blocks.count("11\n") == len(rows.splitlines()) - 1
             assert (int(count) == 0) == (flag == ["--perfect-matching"])
 
+    @pytest.mark.parametrize("mode", [[], ["--count-only"], ["--csv"]])
+    @pytest.mark.parametrize("jobs, children", [("1", 0), ("2", 1), ("3", 2)])
+    def test_each_extra_shard_is_one_child(self, capsys, monkeypatch, forks, mode, jobs,
+                                           children):
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        code, _, err = run_cli(capsys, "enumerate", "--n", "9", *mode, "--jobs", jobs)
+        assert (code, err, len(forks)) == (0, "", children)
+
     def test_order_cap_is_fixed(self):
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--n", "25", "--max-order", "30"])
@@ -216,6 +251,12 @@ class TestEnumerate:
     def test_jobs_below_one_rejected(self, capsys, jobs):
         code, out, err = run_cli(capsys, "enumerate", "--n", "6", "--jobs", jobs)
         assert code == 2 and out == "" and "jobs" in err
+
+    def test_failed_fork_is_a_usage_error(self, capsys, monkeypatch, no_fork):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        got = run_cli(capsys, "enumerate", "--n", "8", "--count-only", "--jobs", "2")
+        assert got == (2, "", "treecount enumerate: [Errno 11] Resource temporarily "
+                              "unavailable\n")
 
 
 class TestVerify:
@@ -561,6 +602,17 @@ class TestProfile:
     def test_human(self, capsys, p5_file):
         code, out, _ = run_cli(capsys, "profile", "--input", p5_file)
         assert code == 0 and "matching = 2" in out
+
+    @pytest.mark.parametrize("edges, row", [
+        ("0 1\n1 2\n2 3\n3 4\n", "2,2,4,2,2,2,False"),
+        ("0 1\n0 2\n0 3\n3 4\n", "2,2,3,3,3,0 3,False"),
+    ])
+    def test_csv(self, capsys, tmp_path, edges, row):
+        f = tmp_path / "t.tree"
+        f.write_text("5\n" + edges)
+        code, out, err = run_cli(capsys, "profile", "--input", str(f), "--csv")
+        header = "matching,domination,diameter,leafCount,maxDegree,centers,hasPerfectMatching"
+        assert (code, out, err) == (0, f"{header}\n{row}\n", "")
 
 
 class TestOutputFlagsNotHonoured:

@@ -59,6 +59,12 @@ class TestGenerator:
             list(all_trees(0))
         assert next(all_level_sequences(MAX_ORDER))
 
+    @pytest.mark.parametrize("n", [0, MAX_ORDER + 1])
+    def test_shards_refuse_an_order_outside_the_range(self, n):
+        # next reads one sequence, so a missing check could not hang here
+        with pytest.raises(TooLargeError, match=f"^order {n} outside 1..{MAX_ORDER}$"):
+            map_shards(next, [5, n], 1)
+
 
 def _listed(runs):
     return [list(run) for run in runs]
@@ -177,6 +183,12 @@ def _fail_here_and_stall_in_child(parent, seqs):
     return list(seqs)
 
 
+def _lowest_free_descriptor() -> int:
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.close(fd)
+    return fd
+
+
 class TestForkJoin:
     """Shard 0 runs in the caller and every other shard in one forked child;
     an error anywhere leaves no child behind."""
@@ -209,6 +221,13 @@ class TestForkJoin:
             map_shards(partial(_vanish_in_child, os.getpid()), [8], 2)
         assert len(forks) == 1
         self.assert_reaped(forks)
+
+    def test_failed_fork_closes_its_pipe(self, no_fork):
+        lowest = _lowest_free_descriptor()
+        for _ in range(3):
+            with pytest.raises(BlockingIOError):
+                map_shards(list, [8], 2)
+            assert _lowest_free_descriptor() == lowest
 
     def test_error_in_shard_0_kills_the_children(self, forks):
         start = time.monotonic()
@@ -311,3 +330,8 @@ class TestPrufer:
         assert a == b
         assert random_labeled_tree(1, random.Random(0)).n == 1
         assert random_labeled_tree(2, random.Random(0)).edges == ((0, 1),)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_random_tree_needs_a_vertex(self, n):
+        with pytest.raises(ValueError, match="^order must be positive$"):
+            random_labeled_tree(n, random.Random(0))

@@ -241,6 +241,16 @@ class TestClosedForms:
         with pytest.raises(NoFormulaError):
             closed_form(FamilySpec("tprime_ndelta", n=4, delta=3), "Fstar")
 
+    @pytest.mark.parametrize("which, term, message", [
+        ("W", "sum", "which must be 'F' or 'Fstar', got 'W'"),
+        ("f", "sum", "which must be 'F' or 'Fstar', got 'f'"),
+        ("F", "difference", "binomial_term must be 'sum' or 'product', got 'difference'"),
+    ])
+    def test_bad_quantity_or_reading(self, which, term, message):
+        with pytest.raises(ValueError) as exc:
+            closed_form(FamilySpec("hat", n=8, d=4), which, binomial_term=term)
+        assert type(exc.value) is ValueError and str(exc.value) == message
+
     def test_hat_product_variant_departs(self):
         spec = FamilySpec("hat", n=3, d=2)
         assert closed_form(spec, "F").value == 6

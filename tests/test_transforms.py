@@ -51,6 +51,17 @@ class TestATransform:
         with pytest.raises(BadAnchorError):
             a_transform(make_path(4), 2, 2)
 
+    def test_pendant_path_test_is_the_definition(self):
+        # every cut vertex u and every other vertex r of every tree with
+        # n <= 9: the branch of t - u holding r, with u, induces a path ending at u
+        for n in range(2, 10):
+            for t in all_trees(n):
+                for u in range(n):
+                    for r in range(n):
+                        if r != u:
+                            want = _pendant_path_by_search(t, u, r)
+                            assert is_pendant_path_component(t, u, r) == want, (t, u, r)
+
     @pytest.mark.parametrize("u, root", [(-1, 0), (3, -2), (0, 0), (9, 0), (4, 0), (0, 4)])
     def test_pendant_path_test_refuses_bad_anchors(self, u, root):
         # the same refusal as a_transform, not a wrapped index or an IndexError
@@ -58,6 +69,20 @@ class TestATransform:
         for call in (a_transform, is_pendant_path_component):
             with pytest.raises(BadAnchorError, match=message):
                 call(make_path(4), u, root)
+
+
+def _pendant_path_by_search(t: Tree, u: int, r: int) -> bool:
+    """The definition, by search: the vertices reached from r without
+    passing u, together with u, induce a path whose one end is u."""
+    seen = {u, r}
+    stack = [r]
+    while stack:
+        for w in t.adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    degree = {v: sum(w in seen for w in t.adj[v]) for v in seen}
+    return degree[u] == 1 and max(degree.values()) <= 2
 
 
 class TestBTransform:
@@ -207,6 +232,13 @@ class TestDispatch:
             apply_transform(t, TransformSpec(kind="C", v=0))
         with pytest.raises(BadAnchorError):
             apply_transform(t, TransformSpec(kind="Z", v=0))
+
+    def test_apply_refuses_cprime_off_the_centers(self):
+        # 3 is a plain C anchor of this path-like tree, whose center is 2
+        t = Tree(6, [(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)])
+        with pytest.raises(CenterViolationError,
+                           match="^anchor is not a center vertex; use C$"):
+            apply_transform(t, TransformSpec(kind="Cprime", v=3))
 
     def test_apply_is_the_rewrite(self):
         # the worked example of TestCTransform: 3 is a C anchor, 1-2 an

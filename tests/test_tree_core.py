@@ -68,6 +68,23 @@ class TestParse:
             parse_tree(text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("text, fmt, error, message", [
+        ("", "edgelist", MalformedInputError, "empty input"),
+        ("\n\n", "edgelist", MalformedInputError, "empty input"),
+        (" \n", "levelseq", MalformedInputError, "empty input"),
+        ("0\n", "edgelist", NotATreeError, "vertex count must be positive"),
+        ("1 2 2\n", "levelseq", MalformedInputError, "level sequence must start at depth 0"),
+        ("0 1 x\n", "levelseq", MalformedInputError,
+         "level sequence entries must be integers"),
+        ("0 1 1.5\n", "levelseq", MalformedInputError,
+         "level sequence entries must be integers"),
+        ("1\n", "dot", ValueError, "unknown format 'dot'"),
+    ])
+    def test_input_errors(self, text, fmt, error, message):
+        with pytest.raises(error) as exc:
+            parse_tree(text, fmt)
+        assert type(exc.value) is error and str(exc.value) == message
+
 
 class Edge(NamedTuple):
     u: int
@@ -293,6 +310,10 @@ class TestSerialize:
 
     def test_levelseq_bytes(self):
         assert serialize_tree(make_star(4), "levelseq") == "0 1 1 1\n"
+
+    def test_unknown_format(self):
+        with pytest.raises(ValueError, match="^unknown format 'dot'$"):
+            serialize_tree(make_star(4), "dot")
 
     def test_levelseq_deep_path(self):
         # far deeper than the interpreter's recursion limit; the 2500-vertex
