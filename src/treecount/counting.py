@@ -140,10 +140,8 @@ def _check_vertex(t: Tree, *vs: int) -> None:
 
 def subtree_totals(t: Tree) -> tuple[int, int]:
     """(F, F*) of t from its rooting."""
+    F = count_subtrees(t)
     order, parent = t.rooting
-    g = _products(order, parent, [1] * t.n)
-    F = _sum_counts(g, g[0])  # the root's count is the largest
-    del g  # so that the two lists are never held at once
     stem = _products(order, parent, _stem(t))
     return F, F - _sum_counts(stem, F)
 
@@ -171,7 +169,7 @@ def count_subtrees(t: Tree) -> int:
     """Total number of subtrees F(t)."""
     order, parent = t.rooting
     g = _products(order, parent, [1] * t.n)
-    return _sum_counts(g, g[0])
+    return _sum_counts(g, g[0])  # the root's count is the largest
 
 
 def count_subtrees_at(t: Tree, v: int) -> int:

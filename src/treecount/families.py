@@ -24,13 +24,14 @@ Families (``FamilySpec.family``):
   diameter-class extremal tree (tag T4.8).
 
 One table row per family holds the fields it reads, its refusals in order
-(each a test and its message) and its shape; one parameter check reads the
-row for both the builder and the closed forms. Every family is a path with
-legs: its shape is ``(base, [(at, length, count), ...])``, the path on
-vertices 0..base-1 with ``count`` legs of ``length`` vertices hung at path
-vertex ``at``, and one builder emits it, the legs taking the next labels in
-the order listed (a star is ``(1, [(0, 1, n-1)])``, a hat
-``(d+1, [(k-1, 1, n-d-1)])``).
+(each a test and its message) and its shape, and a row keyed the same way
+holds its closed forms: for F and F* the formula id, the no-formula refusals
+and the value. One parameter check serves the builder and the closed forms.
+Every family is a path with legs: its shape is
+``(base, [(at, length, count), ...])``, the path on vertices 0..base-1 with
+``count`` legs of ``length`` vertices hung at path vertex ``at``, and one
+builder emits it, the legs taking the next labels in the order listed (a
+star is ``(1, [(0, 1, n-1)])``, a hat ``(d+1, [(k-1, 1, n-d-1)])``).
 
 The displayed count for ``hat`` carries its two single-leg binomial terms as
 a sum; evaluating them as a product instead (selectable via
@@ -41,6 +42,7 @@ the verifier can demonstrate the discrepancy.
 from __future__ import annotations
 
 from math import comb
+from operator import add, mul
 from typing import NamedTuple
 
 from .tree import Tree
@@ -55,6 +57,27 @@ def _spider_legs(n: int, k: int) -> tuple[int, int, int, int]:
 def _spider_shape(n: int, k: int):
     lo, hi, i, j = _spider_legs(n, k)
     return 1, [(0, lo, i), (0, hi, j)]
+
+
+def _spider_f(n: int, k: int, _) -> int:
+    lo, hi, i, j = _spider_legs(n, k)
+    return (lo + 1) ** i * (hi + 1) ** j + i * comb(lo + 1, 2) + j * comb(hi + 1, 2)
+
+
+def _spider_fstar(n: int, k: int, _) -> int:
+    lo, hi, i, j = _spider_legs(n, k)
+    return (lo + 1) ** i * (hi + 1) ** j - lo ** i * hi ** j + (n - 1)
+
+
+def _pk_ab_f(k: int, a: int, b: int, _) -> int:
+    n = k + a + b
+    return 3 * (2 ** a + 2 ** b) + 2 ** (n - 4) + n - 1
+
+
+def _hat_f(n: int, d: int, k: int, join) -> int:
+    a, b = d // 2, (d + 1) // 2
+    tail = join(comb(a + 1, 2), comb(b + 1, 2))
+    return 2 ** (n - d - 1) * (a + 1) * (b + 1) + tail + (n - d - 1)
 
 
 # each family: the FamilySpec fields it reads, in builder order (corona_path's
@@ -91,6 +114,47 @@ _SHAPES = {
             [(lambda n, d, k: not (2 <= d <= n - 1), "hat needs 2 <= d <= n-1, got n={n}, d={d}"),
              (lambda n, d, k: not (1 <= k <= d + 1), "hat needs 1 <= k <= d+1, got k={k}, d={d}")],
             lambda n, d, k: (d + 1, [(k - 1, 1, n - d - 1)])),
+}
+_PK_AB_REFUSALS = [(lambda k, a, b: k != 4, "closed forms only on record for k = 4"),
+                   (lambda k, a, b: a < 1 or b < 1,
+                    "k = 4 forms need a, b >= 1 (otherwise the stem changes)")]
+_HAT_REFUSALS = [(lambda n, d, k: k not in (d // 2 + 1, (d + 1) // 2 + 1),
+                  "closed form only at the balanced attachment position")]
+_JOINS = {"sum": add, "product": mul}  # how the hat's two binomial terms combine
+# each family's closed forms, per quantity: the formula id, the refusals (tests
+# of the parameters in builder order) and the value of those and a _JOINS entry
+_FORMS = {
+    "path": {"F": ("basic", [], lambda n, _: n * (n + 1) // 2),
+             "Fstar": ("L2star", [], lambda n, _: 2 * n - 1)},
+    "star": {"F": ("basic", [], lambda n, _: 2 ** (n - 1) + n - 1),
+             "Fstar": ("L2star", [(lambda n: n < 3, "star leaf-subtree form needs n >= 3")],
+                       lambda n, _: 2 ** (n - 1) + n - 2)},
+    "a_nq": {"F": ("T4.1", [], lambda n, q, _: 2 ** (n - 2 * q + 1) * 3 ** (q - 1) + n + q - 2),
+             # at n=2 the hub itself is a leaf and the stem is empty
+             "Fstar": ("T4.1", [(lambda n, q: n < 3, "a_nq leaf-subtree form needs n >= 3")],
+                       lambda n, q, _: 2 ** (n - 2 * q + 1) * 3 ** (q - 1)
+                       - 2 ** (q - 1) + n - 1)},
+    "pk_ab": {"F": ("T4.4", _PK_AB_REFUSALS, _pk_ab_f),
+              "Fstar": ("T4.4", _PK_AB_REFUSALS,
+                        lambda k, a, b, join: _pk_ab_f(k, a, b, join) - 10)},
+    "corona_path": {"F": ("T4.3", [], lambda m, _: 2 ** (m + 2) - m - 4),
+                    "Fstar": ("T4.3", [(lambda m: m < 2, "corona leaf-subtree form needs m >= 2")],
+                              lambda m, _: 2 ** (m + 2) - m - 4 - comb(m + 1, 2))},
+    "t_ndelta": {"F": ("T4.5", [], lambda n, delta, _: (n - delta + 1) * 2 ** (delta - 1)
+                       + delta - 1 + comb(n - delta + 1, 2)),
+                 "Fstar": ("T4.5", [], lambda n, delta, _: (n - delta + 1) * 2 ** (delta - 1)
+                           + delta - 1)},
+    "tprime_ndelta": {"F": ("T4.6", [], lambda n, delta, _: 2 * (n - 2 * delta + 3)
+                            * 3 ** (delta - 2) + 3 * delta - 5 + comb(n - 2 * delta + 3, 2)),
+                      # with a one-vertex base path the stem is a star, not a broom
+                      "Fstar": ("T4.6", [(lambda n, delta: n < 2 * delta,
+                                          "tprime leaf-subtree form needs n >= 2*delta")],
+                                lambda n, delta, _: 2 * (n - 2 * delta + 3) * 3 ** (delta - 2)
+                                - (n - 2 * delta + 2) * 2 ** (delta - 2) + n - 1)},
+    "spider": {"F": ("T4.7", [], _spider_f), "Fstar": ("T4.7", [], _spider_fstar)},
+    "hat": {"F": ("T4.8", _HAT_REFUSALS, _hat_f),
+            "Fstar": ("T4.8", _HAT_REFUSALS,
+                      lambda n, d, k, join: _hat_f(n, d, k, join) - comb(d, 2))},
 }
 FAMILIES = tuple(_SHAPES)
 
@@ -203,95 +267,9 @@ def closed_form(spec: FamilySpec, which: str, binomial_term: str = "sum") -> Clo
         raise ValueError(f"which must be 'F' or 'Fstar', got {which!r}")
     if binomial_term not in ("sum", "product"):
         raise ValueError(f"binomial_term must be 'sum' or 'product', got {binomial_term!r}")
-    fam = spec.family
     params = _check_params(spec)
-
-    if fam == "path":
-        (n,) = params
-        if which == "F":
-            return ClosedForm(spec, which, n * (n + 1) // 2, "basic")
-        return ClosedForm(spec, which, 2 * n - 1, "L2star")
-
-    if fam == "star":
-        (n,) = params
-        if which == "F":
-            return ClosedForm(spec, which, 2 ** (n - 1) + n - 1, "basic")
-        if n < 3:
-            raise NoFormulaError("star leaf-subtree form needs n >= 3")
-        return ClosedForm(spec, which, 2 ** (n - 1) + n - 2, "L2star")
-
-    if fam == "a_nq":
-        n, q = params
-        if which == "F":
-            value = 2 ** (n - 2 * q + 1) * 3 ** (q - 1) + n + q - 2
-        else:
-            if n < 3:
-                # at n=2 the hub itself is a leaf and the stem is empty
-                raise NoFormulaError("a_nq leaf-subtree form needs n >= 3")
-            value = 2 ** (n - 2 * q + 1) * 3 ** (q - 1) - 2 ** (q - 1) + n - 1
-        return ClosedForm(spec, which, value, "T4.1")
-
-    if fam == "corona_path":
-        (m,) = params
-        value = 2 ** (m + 2) - m - 4
-        if which == "Fstar":
-            if m < 2:
-                raise NoFormulaError("corona leaf-subtree form needs m >= 2")
-            value -= comb(m + 1, 2)
-        return ClosedForm(spec, which, value, "T4.3")
-
-    if fam == "pk_ab":
-        k, a, b = params
-        if k != 4:
-            raise NoFormulaError("closed forms only on record for k = 4")
-        if a < 1 or b < 1:
-            raise NoFormulaError("k = 4 forms need a, b >= 1 (otherwise the stem changes)")
-        n = k + a + b
-        value = 3 * (2 ** a + 2 ** b) + 2 ** (n - 4) + n - 1
-        if which == "Fstar":
-            value -= 10
-        return ClosedForm(spec, which, value, "T4.4")
-
-    if fam == "t_ndelta":
-        n, delta = params
-        value = (n - delta + 1) * 2 ** (delta - 1) + delta - 1
-        if which == "F":
-            value += comb(n - delta + 1, 2)
-        return ClosedForm(spec, which, value, "T4.5")
-
-    if fam == "tprime_ndelta":
-        n, delta = params
-        if which == "F":
-            value = 2 * (n - 2 * delta + 3) * 3 ** (delta - 2) + 3 * delta - 5 \
-                + comb(n - 2 * delta + 3, 2)
-        else:
-            if n < 2 * delta:
-                # with a one-vertex base path the stem is a star, not a broom
-                raise NoFormulaError("tprime leaf-subtree form needs n >= 2*delta")
-            value = 2 * (n - 2 * delta + 3) * 3 ** (delta - 2) \
-                - (n - 2 * delta + 2) * 2 ** (delta - 2) + n - 1
-        return ClosedForm(spec, which, value, "T4.6")
-
-    if fam == "spider":
-        n, k = params
-        lo, hi, i, j = _spider_legs(n, k)
-        if which == "F":
-            value = (lo + 1) ** i * (hi + 1) ** j + i * comb(lo + 1, 2) + j * comb(hi + 1, 2)
-        else:
-            value = (lo + 1) ** i * (hi + 1) ** j - lo ** i * hi ** j + (n - 1)
-        return ClosedForm(spec, which, value, "T4.7")
-
-    # hat, the one family left: _check_params refused any other
-    n, d, k = params
-    if k not in (d // 2 + 1, (d + 1) // 2 + 1):
-        raise NoFormulaError("closed form only at the balanced attachment position")
-    a = d // 2
-    b = (d + 1) // 2
-    if binomial_term == "sum":
-        tail = comb(a + 1, 2) + comb(b + 1, 2)
-    else:
-        tail = comb(a + 1, 2) * comb(b + 1, 2)
-    value = 2 ** (n - d - 1) * (a + 1) * (b + 1) + tail + (n - d - 1)
-    if which == "Fstar":
-        value -= comb(d, 2)
-    return ClosedForm(spec, which, value, "T4.8")
+    formula_id, refusals, value = _FORMS[spec.family][which]
+    for test, refusal in refusals:
+        if test(*params):
+            raise NoFormulaError(refusal)
+    return ClosedForm(spec, which, value(*params, _JOINS[binomial_term]), formula_id)

@@ -1,9 +1,10 @@
 """A regression net for the theorem scan past its default ranges: one sha256
 per (tag, order) of that order's ``--json`` rows, which carry every class's
-size, extremum and sorted canonical extremizers, for every order up to 23.
+size, extremum and sorted canonical extremizers, for every order up to 24,
+the enumeration's cap.
 
 The orders up to 20 were computed by the scan as it stood before
-``tree_record`` folded principal-branch summaries, and orders 21..23 by the
+``tree_record`` folded principal-branch summaries, and orders 21..24 by the
 per-tag ``verify_theorem`` that folds them, one scan per tag and order, at
 ``--jobs 2``.  Tier-1 recomputes the orders up to 16
 (``test_verify.py::TestRegressionDigests``); CI recomputes 17..20 with
@@ -11,8 +12,9 @@ per-tag ``verify_theorem`` that folds them, one scan per tag and order, at
     python tests/digests.py --n-min 17 --n-max 20 --jobs 2
 
 which prints one line per (tag, order) and exits 1 on any mismatch; the
-same command with ``--n-min 21 --n-max 23`` checks the rest, in about 12
-minutes on 2 cores.  A check ends with the size of the process's branch
+same command with ``--n-min 21 --n-max 23`` checks the next three orders in
+about 12 minutes on 2 cores, and ``--n-min 24 --n-max 24`` the last in about
+37 minutes.  A check ends with the size of the process's branch
 table, which every tag and order has read in turn, and exits 1 if it holds
 more than the 7,813 entries stated at ``enumeration._CACHED_BRANCH``.
 ``--print`` writes the table's lines instead of checking them.
@@ -29,7 +31,7 @@ import time
 from treecount import enumeration
 from treecount.verify import THEOREM_TAGS, theorem_orders, verify_theorem
 
-TOP_ORDER = 23
+TOP_ORDER = 24
 BRANCH_BOUND = 7813   # the rooted trees on 1..12 vertices
 
 
@@ -65,6 +67,7 @@ DIGESTS = {
     ('L2star', 21): "8691c3e1575b32015c9d59c1e7f3b8880ec0754463138939c466a43c5eb43d5d",
     ('L2star', 22): "3a34e7fe7170e8318f45b05bd873391f897933ef9dd3bfa0990aa7984257c559",
     ('L2star', 23): "97577b7831a8745d4cad12d58319f37ad7ef492197faeb9b9252f45ddc45decc",
+    ('L2star', 24): "87aa2873d4d08da2bb8527a7459adb11b7c8f11a1eb2848696f251f0196cdce1",
     ('T4.1', 3): "6d26d79e318b8b268428102353e5c5c2e07af8fcaedb9c65a635e35e2ba1ca83",
     ('T4.1', 4): "987ef8cf0ab5a0902b58314adb879fca4cfdfcd7e73b9b6ae5a4ff11f0e2db52",
     ('T4.1', 5): "fd0465e352e71380e6ab71f1d2ec5b754bf70588f5d509d1d67faf0b6b2e09e2",
@@ -86,6 +89,7 @@ DIGESTS = {
     ('T4.1', 21): "fbf5e2983e253557c53143c966f1ca0965c87509469cfa2eda82939df8371252",
     ('T4.1', 22): "b14b2007199207462688b886d749411086b97f68eef4c2b386306e3ab34a0cca",
     ('T4.1', 23): "18197d9ccf7bb1008bb6691ec643b24a6d8cb0dd8fd4868b61d4523997258aa2",
+    ('T4.1', 24): "98d18336126106d03a116a300ad8a65eef920734ec2c029c6ac1f541a89e59b2",
     ('T4.2', 3): "a71c150474c560bd70caf54f37086a382a84724271f1d4f0f503fd24125a5f83",
     ('T4.2', 4): "bd54979c06e1fff3bd4308d874f5a95258f312e7e8ab5820b10744a9bfb29dbb",
     ('T4.2', 5): "f3597033b474b241f461eeeeea698685df2053611472f430d4e5ea6a0083c4a4",
@@ -107,6 +111,7 @@ DIGESTS = {
     ('T4.2', 21): "1f367bed70b0924e8792868a4161b9caf8b67f90b1faf457cb8c3d33c2d02fc1",
     ('T4.2', 22): "72a6bb457f3fc1ce994e72a52e5935342d92b8052a76182607755b053bb500bd",
     ('T4.2', 23): "1180bd7d2b6ab9b09e19604efc438b0038acf2bb57be63ac0080be4bbb2ff0d0",
+    ('T4.2', 24): "8922450a3a6cfdd1f957079285fa87dfc22f8d1bbd1d361e6b5bc7c7fa68e8be",
     ('T4.3', 4): "1c82a0cd083e291ce37df427370faee537f6c4859fa4050baad9a4fc51091055",
     ('T4.3', 6): "a4fa594ee3f0b4ccdf9a455fc1aa8e9d62f0cbbae6a6156872a213fb36890ec8",
     ('T4.3', 8): "7d377ea88b5c4ca42095f020fe4b2069b0cf3e3d13e27b467dc5826ed3a93baa",
@@ -117,6 +122,7 @@ DIGESTS = {
     ('T4.3', 18): "c59080066ad15f79454bc1cb685ff91c635c97a674cfdcbbcc3faa140c96b568",
     ('T4.3', 20): "44411d82d755810f2f570ca694ef320faf11fdd4d5b866cfeb63fcbfcbed6f11",
     ('T4.3', 22): "c902f86c170da90a28e2d1eefb540dba38e2386b9eb62f4efc056b95444d2966",
+    ('T4.3', 24): "49f064154d73436b0ed29d9011d0fb358c56f12bcd40a78de63c9429582d3e44",
     ('T4.4', 6): "570b2052ae45ac7ee24457b4735fc0a9f7994f8bb01e003806f336bf235de19f",
     ('T4.4', 7): "000df7b6180e9b0dc0d9b8cfe5f0b07a3ee06c9e94e45428c32dc6171c151018",
     ('T4.4', 8): "86efc60576fe9c0e46b2c3f0a0b7137bd44d4be25ee6336aded7dabbfc36b77a",
@@ -135,6 +141,7 @@ DIGESTS = {
     ('T4.4', 21): "63d22ffa5f6611d7b7ada42f4f226e71097adc00a7f62bc3c12af04494daaa6c",
     ('T4.4', 22): "09a83d2bf6f34181e3c27ec82c32a7d6867ff6401e5951591e87ebcd9205b67e",
     ('T4.4', 23): "d1b55e2bf58efbe40f60f9360c9412dfc4c2996d7a1a8c03f9dc0e083aed62c0",
+    ('T4.4', 24): "1539e3b5e2e0fe287dc26e927de9f6f4b49635280038a88cc9acc393a6e0967f",
     ('T4.5', 4): "62caa912bbcf4dba87d41f7baf74d4b6f659d58493afc2166f894f40d632c833",
     ('T4.5', 5): "184e38b3450464de6508903894f10d75da33cda2d4d1ea6249b21b70480f1493",
     ('T4.5', 6): "fa63031b871a2542187c13675c5840b07d8a476c3d65fc27606a26ec813c954f",
@@ -155,6 +162,7 @@ DIGESTS = {
     ('T4.5', 21): "a8fdb3414ec2a7b371dbc052c197684be789f74f804fdd304d83cc0c88d5187e",
     ('T4.5', 22): "28a84af2cc34799fde6cc85f1ff2a66517ff6f70fe8cf7c557ae1942c1c039ce",
     ('T4.5', 23): "479cb51db6dc29f8d42e4d313cffe2d3b7c41d05a4682a142e09deb7f3fce51b",
+    ('T4.5', 24): "a7d076915c77784c03d892c5933508d736352acefd86ef6e69be8ec0c89f6db8",
     ('T4.6', 4): "4118a4bccfdb1a2c599bf543aefaef4019384a4aa78639ac063286bc8a2d4db9",
     ('T4.6', 6): "5fd33f58604579c1b4f421cbf35d83187f02f40995ff54fbe9a90147e17f7f76",
     ('T4.6', 8): "a026caa3dd025e90f572d2b5a4977164a24e57617ee1b264b83f86b386a58a2f",
@@ -165,6 +173,7 @@ DIGESTS = {
     ('T4.6', 18): "5c8e4ceefc8ab8af42b0c16937c207851f069300af814584bf466ba2872fc768",
     ('T4.6', 20): "679b9ea1997041cd7e977a913c7fe781d7c4610ecd9f4705fb11bc51b52023ed",
     ('T4.6', 22): "2785b1852c9b232e877aabd97462b7c7c0f64acebd73f2b65dbcde3a1313b5fc",
+    ('T4.6', 24): "e54e86aab713e401e013913dd785a13466fcd441be3837596a9913639115efea",
     ('T4.7', 3): "b8538627d05b06afbc92cf0564b2c8a4d111e1641c45b39c8ac6ebf0aa8b25d7",
     ('T4.7', 4): "d7f91d8cb7e64512efd3c01254449f3e1f0867cd4443bb30fb564e727b4c1abd",
     ('T4.7', 5): "84170f18398f92c99aef49045f4887da6941ff69f8bf541da54c4cf4868b15aa",
@@ -186,6 +195,7 @@ DIGESTS = {
     ('T4.7', 21): "69aefc0d38ff3e3e5d7c97b527250129e6e1a78c6804ce59ba4bdddff26cf49a",
     ('T4.7', 22): "73327c41382f8d2a34d02999677b1663a7b14e011c956e72fb09b83a022fe0e3",
     ('T4.7', 23): "a57ef37f6dcaee98a5aca8a0b3ebc63e6314d69ea9e527fcddeed745423b14bb",
+    ('T4.7', 24): "7845d763182687800215f659273d26299bc7d90297c10078a5ce998c476e988c",
     ('T4.8', 3): "37d4c1e623159dfb9669c05ce7b015963cd90975c4c06d8e6fd6f9bbb9e39a2f",
     ('T4.8', 4): "77a94758ee854b074007854491cfbb73d83ea08e135a2ea83dc30e421029fa65",
     ('T4.8', 5): "9960593fd21894a51bb9e71806b013678c5d68c66b9b4e0b8cb7c9c701021059",
@@ -207,6 +217,7 @@ DIGESTS = {
     ('T4.8', 21): "6316fbd7e05c91b81ac99dab997a0016a6520e103e6bec3bcd2d0bf7c2159e38",
     ('T4.8', 22): "d22033391255f061f3badb01e1e9b15dde6444ef1285ba59cd3eeeab85a10b42",
     ('T4.8', 23): "3c7e22bc95733ab4bff6c4331fc8c25e046ee651ffb93013389f73e719a28104",
+    ('T4.8', 24): "ea6248336524237b4b6f4558bf532a62fd00fccf3ac76bbc3d0ebb0d8169f8e8",
 }
 
 

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 
@@ -197,6 +198,26 @@ class TestPinnedOutput:
         assert len(refused) == 4840
         assert hashlib.sha256("\n".join(sorted(refused)).encode()).hexdigest() == (
             "d074f67433e98163bb784debc71887187c77584c5c51f93562d5a21d0a039c52")
+
+    def test_closed_forms_and_refusals(self):
+        """Every closed form over the same grid, both quantities and both
+        binomial readings: the value and formula id, or the exception's class
+        and message, pinned as recorded before the forms joined the table."""
+        outcomes, kinds = hashlib.sha256(), collections.Counter()
+        for spec in (spec for fam in FAMILIES for spec in grid_specs(fam)):
+            for which, term in itertools.product(("F", "Fstar"), ("sum", "product")):
+                try:
+                    form = closed_form(spec, which, binomial_term=term)
+                except (BadParamsError, NoFormulaError) as exc:
+                    kinds[type(exc).__name__] += 1
+                    outcome = f"{type(exc).__name__}: {exc}"
+                else:
+                    kinds["value"] += 1
+                    outcome = f"{form.value} {form.formula_id}"
+                outcomes.update(f"{spec} {which} {term}\n{outcome}\n".encode())
+        assert kinds == {"value": 2218, "NoFormulaError": 10042, "BadParamsError": 19360}
+        assert outcomes.hexdigest() == (
+            "3721040623651b4bc442e6f71669ce80f8b319c9416ecd1fe46d67df1bce0c56")
 
 
 class TestClosedForms:
