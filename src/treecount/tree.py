@@ -46,7 +46,8 @@ class Tree:
     lists every vertex with each parent before its children (breadth-first),
     and ``parent[0] == -1``.  Every pass that needs children before their
     parent (reversed ``order``) or parents first reads it instead of
-    rooting the tree again.
+    rooting the tree again.  The leaves of one vertex share one adjacency
+    tuple.
     """
 
     __slots__ = ("n", "adj", "rooting")
@@ -69,12 +70,21 @@ class Tree:
         # connected + n-1 edges => acyclic.  The breadth-first search that
         # checks it is kept as the rooting at 0; its list grows as it is
         # read.  Each list is sorted and frozen when its vertex is visited,
-        # so a connected graph leaves every list ascending.
+        # so a connected graph leaves every list ascending.  A vertex other
+        # than 0 with one neighbour is a leaf below that neighbour; the
+        # search lists a vertex's children together, so each leaf takes the
+        # previous leaf's tuple when they share the neighbour.
         parent = [-2] * n
         parent[0] = -1
         order = [0]
+        leaf = (-1,)
         for v in order:
             nbrs = adj[v]
+            if len(nbrs) == 1 and v:
+                if nbrs[0] != leaf[0]:
+                    leaf = (nbrs[0],)
+                adj[v] = leaf
+                continue
             nbrs.sort()
             adj[v] = tuple(nbrs)
             for w in nbrs:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -8,9 +9,10 @@ from typing import NamedTuple
 import pytest
 
 from bruteforce import DegenerateTreeError, reference_tree, strip_leaves
-from conftest import LARGE_SHAPES, large_shape, make_path, make_star, relabeled
+from conftest import LARGE_SHAPES, large_shape, make_path, make_star, relabeled, rooting_trees
+from treecount import families
 from treecount.enumeration import all_trees, random_labeled_tree
-from treecount.families import FamilySpec, construct
+from treecount.families import FAMILIES, BadParamsError, FamilySpec, construct
 from treecount.tree import (LabelOutOfRangeError, MalformedInputError, NotALeafError,
                             NotATreeError, TooCloseError, Tree, canonical_form, centers,
                             diameter_and_centers, is_isomorphic, parse_tree,
@@ -139,6 +141,43 @@ class TestConstruction:
         assert t.n == n
         assert kept <= 90 * n
         assert peak <= 1.5 * kept
+
+    @pytest.mark.parametrize("shape, per_vertex", [("star", 36), ("broom", 63)])
+    def test_hub_memory(self, shape, per_vertex):
+        # The leaves of a hub share one adjacency tuple: at n = 10^5 a star
+        # keeps 32.0 and a broom (delta = n/2) 56.0 bytes per vertex, where a
+        # tuple per leaf keeps 80.0, and either build peaks at 128 bytes per
+        # vertex at most, by tracemalloc on Python 3.11.
+        n = 100_000
+        edges = list(large_shape(shape, n).edges)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            t = Tree(n, edges)
+            kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert t.n == n
+        assert kept <= per_vertex * n
+        assert peak <= 140 * n
+
+    def test_leaves_of_a_vertex_share_one_tuple(self):
+        # every tree of rooting_trees() and every family member with each
+        # parameter it reads in None, 0..13
+        members = []
+        for fam in FAMILIES:
+            fields = families._SHAPES[fam][0]
+            for values in itertools.product((None, *range(14)), repeat=len(fields)):
+                try:
+                    members.append(construct(FamilySpec(fam, **dict(zip(fields, values)))))
+                except BadParamsError:
+                    pass
+        assert len(members) == 3065
+        for t in itertools.chain(rooting_trees(), members):
+            shared = {}
+            for v in range(1, t.n):
+                if len(t.adj[v]) == 1:
+                    assert shared.setdefault(t.adj[v][0], t.adj[v]) is t.adj[v], (t, v)
 
     # (n, edges, exception, message): checks run in this order, so an input
     # with several faults reports the first
