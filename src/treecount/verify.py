@@ -157,23 +157,22 @@ _PRODUCT_NOTE = ("single-leg binomial tail evaluated as a product, the literal "
 # enumeration scan: per-class extremes, sharded aggregation
 # ---------------------------------------------------------------------------
 
-def _merge_entry(slot: dict, entries: Iterable[tuple[str, tuple[int, Iterable]]],
-                 mode: str) -> None:
-    """Fold each ``(qty, (val, seqs))`` of entries into slot[qty] = [extreme
-    value, set of extremizers]."""
-    for qty, (val, seqs) in entries:
-        cur = slot.get(qty)
-        if cur is None or (val > cur[0] if mode == "max" else val < cur[0]):
-            slot[qty] = [val, set(seqs)]
-        elif val == cur[0]:
-            cur[1].update(seqs)
+def _merge_entry(slot: dict, qty: str, val: int, seqs: Iterable, mode: str) -> None:
+    """Fold one quantity's value ``val``, attained by ``seqs``, into slot[qty]
+    = [extreme value, set of extremizers]; only a new extreme builds a set."""
+    cur = slot.get(qty)
+    if cur is None or (val > cur[0] if mode == "max" else val < cur[0]):
+        slot[qty] = [val, set(seqs)]
+    elif val == cur[0]:
+        cur[1].update(seqs)
 
 
 def _merge_class(into: list, record: list, mode: str) -> None:
     """Fold one class record, [size, {qty: [extreme value, set of
     extremizers]}], into another."""
     into[0] += record[0]
-    _merge_entry(into[1], record[1].items(), mode)
+    for qty, (val, seqs) in record[1].items():
+        _merge_entry(into[1], qty, val, seqs, mode)
 
 
 def _scan_shard(tag: str, seqs: Iterable[tuple[int, ...]]) -> dict:
@@ -184,15 +183,11 @@ def _scan_shard(tag: str, seqs: Iterable[tuple[int, ...]]) -> dict:
     agg: dict = {}
     for seq in seqs:
         rec = tree_record(seq)
-        keys = th.keys(rec)
-        if not keys:
-            continue
-        one = (seq,)
-        entries = [(qty, (getattr(rec, qty), one)) for qty in th.quantities]
-        for key in keys:
+        for key in th.keys(rec):
             record = agg.get(key) or agg.setdefault(key, [0, {}])
             record[0] += 1
-            _merge_entry(record[1], entries, th.extremum or key)
+            for qty in th.quantities:
+                _merge_entry(record[1], qty, getattr(rec, qty), (seq,), th.extremum or key)
     return agg
 
 

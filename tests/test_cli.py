@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 
 import jsonschema
@@ -13,7 +14,7 @@ from schemas import (COUNT_REPORT_SCHEMA, PROFILE_SCHEMA, TRANSFORM_DELTA_SCHEMA
 from treecount import verify
 from treecount.cli import _build_parser, main
 from treecount.enumeration import TreeConstraint
-from treecount.families import FamilySpec
+from treecount.families import _SHAPES, FAMILIES, FamilySpec
 from treecount.tree import Tree
 from treecount.verify import THEOREM_TAGS
 
@@ -634,3 +635,109 @@ class TestOutputFlagsNotHonoured:
             main(argv)
         out, err = capsys.readouterr()
         assert exc.value.code == 2 and out == "" and named in err
+
+
+# the values of the size flags; orders past the enumeration cap are tried only
+# where the command refuses them before any work
+_FUZZ_SIZES = (-3, -1, 0, 1, 2, 3, 5, 8, 12)
+_FUZZ_ORDERS = _FUZZ_SIZES + (25, 10**6)
+# the trees in either format, then the faulty files
+_FUZZ_TREES = {
+    "p5": b"5\n0 1\n1 2\n2 3\n3 4\n",
+    "spider": b"8\n0 1\n0 2\n0 3\n1 4\n2 5\n3 6\n6 7\n",
+    "one-vertex": b"1\n",
+    "star-levelseq": b"0 1 1 1\n",
+    "spider-levelseq": b"0 1 2 1 2 1 2 3\n",
+}
+_FUZZ_INPUTS = {
+    **_FUZZ_TREES,
+    "empty": b"",
+    "bad-header": b"x\n0 1\n",
+    "too-few-lines": b"4\n0 1\n1 2\n",
+    "too-many-lines": b"3\n0 1\n1 2\n0 2\n",
+    "self-loop": b"3\n0 0\n1 2\n",
+    "duplicate-edge": b"3\n0 1\n0 1\n",
+    "label-out-of-range": b"3\n0 1\n1 7\n",
+    "non-ascii": b"3\n0 1\n1 \xe9\n",
+    "crlf": b"5\r\n0 1\r\n1 2\r\n2 3\r\n3 4\r\n",
+    "bad-depth": b"0 1 3\n",
+}
+
+
+def _fuzz_argvs(rng, tmp_path):
+    """400 argv over the six subcommands, each with a random subset of
+    its command's flags (a required one is left out now and then)."""
+    paths = [str(tmp_path / name) for name in _FUZZ_INPUTS] + [str(tmp_path / "absent")]
+    trees = [str(tmp_path / name) for name in _FUZZ_TREES]
+    size = lambda: [str(rng.choice(_FUZZ_SIZES))]
+    order = lambda: [str(rng.choice(_FUZZ_ORDERS))]
+    vertex = lambda: [str(rng.randrange(-1, 9))]
+    pick = lambda *choices: lambda: [rng.choice(choices)]
+    flag = lambda: []
+    io_flags = {"--input": lambda: [rng.choice(trees if rng.random() < 0.5 else paths)],
+                "--format": pick("edgelist", "levelseq"), "--json": flag}
+    commands = {
+        "count": dict(io_flags, **{"--csv": flag}),
+        "profile": dict(io_flags, **{"--csv": flag}),
+        "transform": dict(io_flags, **{"--kind": pick("A", "B", "C", "Cprime", "D"),
+                                       "--u": vertex, "--v": vertex,
+                                       "--component-root": vertex}),
+        "construct": {"--family": pick(*FAMILIES, "tree"),
+                      **{f"--{field}": size for field in FamilySpec._fields[1:]},
+                      "--closed-form": pick("F", "Fstar"),
+                      "--format": pick("edgelist", "levelseq")},
+        "enumerate": {"--n": order,
+                      **{"--" + field.replace("_", "-"): size
+                         for field in TreeConstraint._fields if field != "perfect_matching"},
+                      "--perfect-matching": flag, "--count-only": flag, "--csv": flag,
+                      "--jobs": size},
+        "verify": {"--theorem": pick(*THEOREM_TAGS), "--lemma": pick(*verify.LEMMA_TAGS),
+                   "--n-min": order, "--n-max": order, "--jobs": size,
+                   "--samples": pick("-1", "0", "1", "3", "20"), "--seed": size,
+                   "--formula-variant": pick("sum", "product"),
+                   "--json": lambda: [str(tmp_path / rng.choice(("report.json", "absent/r.json",
+                                                                 "")))],
+                   "--csv": flag},
+    }
+    # the flags each mode reads: a flag that only another mode reads is drawn
+    # rarely, so that most argv get past the usage checks to the work
+    reads = {
+        "construct": {fam: {f"--{field}" for field in _SHAPES[fam][0]} for fam in FAMILIES},
+        "transform": {"A": {"--u", "--component-root"}, "B": {"--u", "--v"},
+                      "C": {"--v"}, "Cprime": {"--v"}},
+        "verify": {"--theorem": {"--theorem", "--n-min", "--n-max", "--jobs",
+                                 "--formula-variant"},
+                   "--lemma": {"--lemma", "--samples", "--seed"}},
+    }
+    required = {"--input", "--family", "--kind", "--n"}
+    argvs = []
+    for _ in range(400):
+        command = rng.choice(sorted(commands))
+        values = {f: draw() for f, draw in commands[command].items()}
+        modes = reads.get(command, {})
+        if command == "verify":
+            mode = rng.choice(("--theorem", "--lemma"))
+        else:
+            mode = (values.get("--family") or values.get("--kind") or [None])[0]
+        modal = set().union(*modes.values())
+        wanted = required | modes.get(mode, set())
+        flags = [f for f in values
+                 if rng.random() < (0.9 if f in wanted else 0.05 if f in modal else 0.35)]
+        rng.shuffle(flags)
+        argvs.append([command] + [tok for f in flags for tok in (f, *values[f])])
+    return argvs
+
+
+def test_cli_fuzz(capsys, tmp_path):
+    """Seeded random argv over every subcommand, bad input files included,
+    end in status 0, 1 or 2 with no traceback, and leave no part file."""
+    for name, data in _FUZZ_INPUTS.items():
+        (tmp_path / name).write_bytes(data)
+    for argv in _fuzz_argvs(random.Random(35), tmp_path):
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse's usage errors
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
+    assert not list(tmp_path.glob("*.part"))
