@@ -366,23 +366,16 @@ def tree_from_prufer(seq: Sequence[int]) -> Tree:
             raise ValueError(f"entry {v} outside 0..{n - 1}")
         degree[v] += 1
     edges = []
-    # pointer scan: leaf = smallest label of degree 1 not yet consumed
-    ptr = 0
-    leaf = -1
+    # the smallest leaf joins each entry in turn; label n - 1 is never removed
+    ptr = leaf = degree.index(1)
     for v in seq:
-        if leaf < 0:
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
         edges.append((leaf, v))
-        degree[leaf] -= 1
         degree[v] -= 1
         if degree[v] == 1 and v < ptr:
             leaf = v
         else:
-            leaf = -1
-    last = [v for v in range(n) if degree[v] == 1]
-    edges.append((last[0], last[1]))
+            ptr = leaf = degree.index(1, ptr + 1)
+    edges.append((leaf, n - 1))
     return Tree(n, edges)
 
 

@@ -3,14 +3,16 @@
 Everything here recomputes quantities by routes deliberately different from
 the package: isomorphism-class counts by Pruefer decoding + interned AHU keys
 and by the rooted-tree Euler transform, matching/domination by raw subset
-enumeration, every subtree count by walking all 2^n vertex subsets, and the
-leafless stem that ``counting`` never builds.
+enumeration, every subtree count by walking all 2^n vertex subsets, the
+leafless stem that ``counting`` never builds, and the labelled tree of a
+Pruefer sequence by removing the smallest leaf from a heap.
 
 numpy is imported inside the functions that use it.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import operator
 from typing import TYPE_CHECKING
@@ -169,6 +171,28 @@ def _decode_prufer_adj(n: int, seq) -> list[list[int]]:
                 adj[v].append(a)
                 break
     return adj
+
+
+def prufer_tree(seq) -> Tree:
+    """The textbook decode: n - 2 times, the smallest leaf left joins the
+    next entry and leaves the tree; then the last two vertices are joined.
+    A vertex is a leaf once no later entry names it."""
+    n = len(seq) + 2
+    later = [0] * n
+    for v in seq:
+        if not (0 <= v < n):
+            raise ValueError(f"entry {v} outside 0..{n - 1}")
+        later[v] += 1
+    leaves = [v for v in range(n) if not later[v]]
+    heapq.heapify(leaves)
+    edges = []
+    for v in seq:
+        edges.append((heapq.heappop(leaves), v))
+        later[v] -= 1
+        if not later[v]:
+            heapq.heappush(leaves, v)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return Tree(n, edges)
 
 
 def _prufer_chunk(args) -> set:

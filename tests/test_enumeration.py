@@ -4,11 +4,11 @@ import os
 import random
 import time
 from functools import partial
-from itertools import chain, pairwise
+from itertools import chain, pairwise, product
 
 import pytest
 
-from bruteforce import class_count_by_formula, prufer_class_count
+from bruteforce import class_count_by_formula, prufer_class_count, prufer_tree
 from conftest import make_path, make_star
 from treecount.enumeration import (MAX_ORDER, TooLargeError, TreeConstraint, _runs,
                                    all_level_sequences, all_trees, map_shards,
@@ -318,11 +318,35 @@ class TestPrufer:
             tree_from_prufer([5, 0])
 
     def test_decode_covers_all_classes(self):
-        import itertools
         seen = set()
-        for seq in itertools.product(range(6), repeat=4):
+        for seq in product(range(6), repeat=4):
             seen.add(canonical_form(tree_from_prufer(seq)))
         assert len(seen) == 6
+
+    def test_decode_equals_the_heap_decode_for_every_small_sequence(self):
+        count = 0
+        for n in range(2, 8):
+            for seq in product(range(n), repeat=n - 2):
+                assert tree_from_prufer(seq) == prufer_tree(seq), seq
+                count += 1
+        assert count == 18248
+
+    def test_decode_equals_the_heap_decode_up_to_n_100000(self):
+        rng = random.Random(36)
+        for i in range(50):
+            n = max(2, round(10 ** (5 * i / 49)))
+            seq = [rng.randrange(n) for _ in range(n - 2)]
+            assert tree_from_prufer(seq) == prufer_tree(seq), n
+
+    @pytest.mark.parametrize("n", (3, 4, 9))
+    def test_out_of_range_entries_refused_alike(self, n):
+        for bad in (-1, n):
+            seq = [0] * (n - 3) + [bad]
+            with pytest.raises(ValueError) as got:
+                tree_from_prufer(seq)
+            with pytest.raises(ValueError) as want:
+                prufer_tree(seq)
+            assert str(got.value) == str(want.value) == f"entry {bad} outside 0..{n - 1}"
 
     def test_random_tree_reproducible(self):
         a = random_labeled_tree(12, random.Random(3))

@@ -3,6 +3,8 @@ stdout goes away, and that its forked shards end when it is killed.  Each
 check runs in a fresh interpreter, since pytest has long since loaded
 modules (``dataclasses`` among them) that the package itself must not need."""
 
+import ast
+import importlib
 import importlib.util
 import json
 import os
@@ -64,9 +66,11 @@ class TestImports:
         assert "multiprocessing" not in added
 
     def test_cli_import_loads_no_csv(self):
-        # only --csv output needs the csv module, and only a sharded listing heapq
+        # only --csv output needs the csv module, and only a sharded listing
+        # heapq; sympy and numpy are in the test extra only
         added, _ = run_child()
         assert "treecount.cli" in added and "csv" not in added and "heapq" not in added
+        assert not {"sympy", "numpy"} & set(added)
 
     def test_commands_without_a_pool_do_not_load_multiprocessing(self, p6_file):
         argvs = [
@@ -102,6 +106,24 @@ class TestImports:
         assert importlib.util.find_spec("treecount.oracle") is None
         assert importlib.util.find_spec("treecount.schemas") is None
         assert "pickle" not in added
+
+
+class TestTracedNames:
+    def test_every_traced_name_resolves(self):
+        """The benchmark's tracer wraps each (module, attribute) of its
+        TARGETS; a name the package no longer has would fail only a traced
+        benchmark run.  The table is read from the file's source, which is
+        neither imported nor written."""
+        path = os.path.join(os.path.dirname(SRC), "perfbench", "spans.py")
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        targets = next(ast.literal_eval(node.value) for node in tree.body
+                       if isinstance(node, ast.Assign)
+                       and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"])
+        assert targets
+        for module, attribute, _, _ in targets:
+            assert hasattr(importlib.import_module(f"treecount.{module}"), attribute), (
+                module, attribute)
 
 
 # Calls main() with stdout a pipe whose reader has gone, then writes main's
