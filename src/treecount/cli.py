@@ -34,10 +34,6 @@ def _read_tree(path: str, fmt: str):
         return parse_tree(fh.read(), fmt)
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, separators=(", ", ": "))
-
-
 def _add_io_args(p: argparse.ArgumentParser):
     """--input, --format and --json; returns --json's exclusive group, for --csv."""
     p.add_argument("--input", required=True, help="tree file, or - for stdin")
@@ -115,19 +111,17 @@ def _write_csv(header: list[str], rows: Iterable[list]) -> None:
 
 
 def _cmd_count(args) -> int:
-    report = count_report(_read_tree(args.input, args.format))
-    d = report.to_json_dict()
+    d = count_report(_read_tree(args.input, args.format)).to_json_dict()
     if args.json:
-        print(_dump(d))
-    elif args.csv:
-        _write_csv(["n", "F", "Fstar", "W"], [[d["n"], d["F"], d["Fstar"], d["W"]]])
+        print(json.dumps(d))
+    elif args.csv:   # the scalar entries; the per-vertex maps are text and JSON only
+        totals = {k: v for k, v in d.items() if not isinstance(v, dict)}
+        _write_csv(list(totals), [list(totals.values())])
     else:
-        print(f"n      = {report.n}")
-        print(f"F      = {report.F}")
-        print(f"Fstar  = {report.Fstar}")
-        print(f"W      = {report.wiener}")
-        print("f      = " + " ".join(f"{v}:{c}" for v, c in sorted(report.f_vertex.items())))
-        print("fstar  = " + " ".join(f"{v}:{c}" for v, c in sorted(report.fstar_vertex.items())))
+        for k, v in d.items():
+            if isinstance(v, dict):
+                v = " ".join(f"{vertex}:{count}" for vertex, count in v.items())
+            print(f"{k:<7}= {v}")
     return 0
 
 
@@ -156,10 +150,10 @@ def _cmd_transform(args) -> int:
         "Fstar_after": str(fstar_after),
     }
     if args.json:
-        print(_dump(delta))
+        print(json.dumps(delta))
     else:
-        print(serialize_tree(out), end="")
-        print(_dump({k: v for k, v in delta.items() if k != "tree"}))
+        tree = delta.pop("tree")
+        print(tree + json.dumps(delta))
     return 0
 
 
@@ -235,7 +229,7 @@ def _cmd_verify(args) -> int:
     print(header)
     if args.csv:
         rows = [[r.theorem, r.n if r.n is not None else "",
-                 _dump(r.constraint), r.claimed if r.claimed is not None else "",
+                 json.dumps(r.constraint), r.claimed if r.claimed is not None else "",
                  r.achieved if r.achieved is not None else "",
                  "pass" if r.passed else "FAIL"] for r in results]
         _write_csv(["theorem", "n", "constraint", "claimed", "achieved", "result"], rows)
@@ -245,7 +239,7 @@ def _cmd_verify(args) -> int:
             parts = [status, r.theorem]
             if r.n is not None:
                 parts.append(f"n={r.n}")
-            parts.append(_dump(r.constraint))
+            parts.append(json.dumps(r.constraint))
             if r.claimed is not None:
                 parts.append(f"claimed={r.claimed} achieved={r.achieved}")
             if r.class_size is not None:
@@ -262,7 +256,7 @@ def _cmd_profile(args) -> int:
     profile = invariant_profile(_read_tree(args.input, args.format))
     d = profile.to_json_dict()
     if args.json:
-        print(_dump(d))
+        print(json.dumps(d))
     elif args.csv:
         _write_csv(list(d), [[d[k] if k != "centers" else " ".join(map(str, d[k]))
                               for k in d]])

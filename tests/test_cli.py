@@ -19,10 +19,14 @@ from treecount.tree import Tree
 from treecount.verify import THEOREM_TAGS
 
 
+P5 = "5\n0 1\n1 2\n2 3\n3 4\n"
+STAR6 = "6\n0 1\n0 2\n0 3\n0 4\n0 5\n"
+
+
 @pytest.fixture
 def p5_file(tmp_path):
     path = tmp_path / "p5.tree"
-    path.write_text("5\n0 1\n1 2\n2 3\n3 4\n")
+    path.write_text(P5)
     return str(path)
 
 
@@ -62,6 +66,53 @@ class TestCount:
         code, out, _ = run_cli(capsys, "count", "--input", p5_file, "--csv")
         assert code == 0
         assert out.splitlines() == ["n,F,Fstar,W", "5,15,9,20"]
+
+    @pytest.mark.parametrize("text, form, want", [
+        ("1\n", "text", "n      = 1\nF      = 1\nFstar  = 1\nW      = 0\n"
+                        "f      = 0:1\nfstar  = \n"),
+        ("1\n", "--csv", "n,F,Fstar,W\n1,1,1,0\n"),
+        ("1\n", "--json", '{"n": 1, "F": "1", "Fstar": "1", "W": "0", "f": {"0": "1"}, '
+                          '"fstar": {}}\n'),
+        ("2\n0 1\n", "text", "n      = 2\nF      = 3\nFstar  = 3\nW      = 1\n"
+                             "f      = 0:2 1:2\nfstar  = 0:1 1:1\n"),
+        ("2\n0 1\n", "--csv", "n,F,Fstar,W\n2,3,3,1\n"),
+        ("2\n0 1\n", "--json", '{"n": 2, "F": "3", "Fstar": "3", "W": "1", '
+                               '"f": {"0": "2", "1": "2"}, "fstar": {"0": "1", "1": "1"}}\n'),
+        (P5, "text", "n      = 5\nF      = 15\nFstar  = 9\nW      = 20\n"
+                     "f      = 0:5 1:8 2:9 3:8 4:5\nfstar  = 0:1 1:5 2:5 3:5 4:1\n"),
+        (P5, "--csv", "n,F,Fstar,W\n5,15,9,20\n"),
+        (P5, "--json", '{"n": 5, "F": "15", "Fstar": "9", "W": "20", '
+                       '"f": {"0": "5", "1": "8", "2": "9", "3": "8", "4": "5"}, '
+                       '"fstar": {"0": "1", "1": "5", "2": "5", "3": "5", "4": "1"}}\n'),
+        (STAR6, "text", "n      = 6\nF      = 37\nFstar  = 36\nW      = 25\n"
+                        "f      = 0:32 1:17 2:17 3:17 4:17 5:17\n"
+                        "fstar  = 0:31 1:15 2:15 3:15 4:15 5:15\n"),
+        (STAR6, "--csv", "n,F,Fstar,W\n6,37,36,25\n"),
+        (STAR6, "--json", '{"n": 6, "F": "37", "Fstar": "36", "W": "25", '
+                          '"f": {"0": "32", "1": "17", "2": "17", "3": "17", "4": "17", '
+                          '"5": "17"}, "fstar": {"0": "31", "1": "15", "2": "15", '
+                          '"3": "15", "4": "15", "5": "15"}}\n'),
+    ])
+    def test_each_form_byte_for_byte(self, capsys, tmp_path, text, form, want):
+        f = tmp_path / "t.tree"
+        f.write_text(text)
+        got = run_cli(capsys, "count", "--input", str(f), *([form] if form != "text" else []))
+        assert got == (0, want, "")
+
+    @pytest.mark.parametrize("form, digest", [
+        ("text", "96c0c63897507a56ef140bd88470087de6de3ada0358bf192d80b05be802b0b0"),
+        ("--csv", "fcda7634facb698c408a78eb9b25e38f6e30a27167b0d3042a869d8bafa6bd0d"),
+        ("--json", "0d5ace96ba08dc59811044add863f6cf22e7da4a05cab5db9d3e0b6af4b5f315"),
+    ])
+    def test_random_tree_byte_for_byte(self, capsys, tmp_path, form, digest):
+        """A seeded random tree on 40 vertices, with eight-digit counts and
+        labels past 9, so that the per-vertex maps run in numeric order."""
+        rng = random.Random(40)
+        f = tmp_path / "r40.tree"
+        f.write_text("40\n" + "".join(f"{rng.randrange(v)} {v}\n" for v in range(1, 40)))
+        code, out, err = run_cli(capsys, "count", "--input", str(f),
+                                 *([form] if form != "text" else []))
+        assert (code, err, sha256(out.encode())) == (0, "", digest)
 
     def test_levelseq_input(self, capsys, tmp_path):
         f = tmp_path / "star.tree"
@@ -194,6 +245,23 @@ class TestTransform:
         code, out, _ = run_cli(capsys, "transform", "--kind", "A",
                                "--input", p5_file, "--u", "1", "--component-root", "0")
         assert code == 0 and out.startswith("5\n")
+
+    @pytest.mark.parametrize("argv, text, as_json", [
+        (["--kind", "A", "--u", "1", "--component-root", "0"],
+         '5\n0 1\n0 4\n1 2\n2 3\n{"F_before": "15", "F_after": "15", '
+         '"Fstar_before": "9", "Fstar_after": "9"}\n',
+         '{"tree": "5\\n0 1\\n0 4\\n1 2\\n2 3\\n", "F_before": "15", "F_after": "15", '
+         '"Fstar_before": "9", "Fstar_after": "9"}\n'),
+        (["--kind", "B", "--u", "1", "--v", "2"],
+         '5\n0 1\n1 2\n1 4\n2 3\n{"F_before": "15", "F_after": "17", '
+         '"Fstar_before": "9", "Fstar_after": "14"}\n',
+         '{"tree": "5\\n0 1\\n1 2\\n1 4\\n2 3\\n", "F_before": "15", "F_after": "17", '
+         '"Fstar_before": "9", "Fstar_after": "14"}\n'),
+    ])
+    def test_each_form_byte_for_byte(self, capsys, p5_file, argv, text, as_json):
+        assert run_cli(capsys, "transform", "--input", p5_file, *argv) == (0, text, "")
+        got = run_cli(capsys, "transform", "--input", p5_file, *argv, "--json")
+        assert got == (0, as_json, "")
 
 
 class TestEnumerate:

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from itertools import chain
+from itertools import chain, islice
 
 import jsonschema
 import pytest
@@ -206,6 +206,28 @@ def test_comparison_instances_pinned():
     assert h.hexdigest() == "39f46643bb35471a1f25f51cfa5d83bf62ff111fe0e99a216b4ce99bf11796c9"
 
 
+_STREAM_SHA256 = {
+    "L3.1": "3afadb3d206546f6cf71f8ca800e85e3c25ea8ef74449e74be1d9ae5adcc2caa",
+    "L3.2": "dc6cb1e7b0f9e9e1db24b47b52e00b0b6224432ddebd21ff59d42a7ccf2f5434",
+    "L3.3": "3397b7a85a9bd225e0d8cbfb121ed335e86b66b52d8329ccfdfd5d60c4a82330",
+    "leaf-deletion": "3b1db71ff4abbf67db3ec8b3b62f0f5960e3069f442013e4c3888c7ebc4aeb98",
+    "pendant-edge": "1af57c63614c3033f53c26c5b90a8fec4a7cfb23e89267753b409c2800772f08",
+    "path-attachment": "7709102469e574352f4361e40eac36d34b8f46f694cac5b6df438d2d098747f7",
+    "path-comparison": "d8711f5b778b6065873cb8edbc174eb265782e74af6705ee3a21f4d39704b18d",
+}
+
+
+@pytest.mark.parametrize("tag", LEMMA_TAGS)
+def test_suite_streams_pinned(tag):
+    """Each suite's first 200 instances at seed 11, with verdict and tally,
+    as recorded.  The reports of L3.2 and path-attachment carry no notes, so
+    only this pin sees a change to what those suites draw."""
+    h = hashlib.sha256()
+    for t, holds, tally in islice(verify._SUITES[tag][0](random.Random(11)), 200):
+        h.update(f"{serialize_tree(t)}{holds} {tally}\n".encode())
+    assert h.hexdigest() == _STREAM_SHA256[tag]
+
+
 _totals, _anchored = counting.subtree_totals, counting.anchored_counts
 
 
@@ -215,6 +237,10 @@ def _constant_totals(t):
 
 def _constant_fstar(t):
     return _totals(t)[0], 1
+
+
+def _constant_f(t):
+    return 1, _totals(t)[1]
 
 
 def _flat_anchored(t):
@@ -229,8 +255,26 @@ def _fstar_by_label(t):
     return _anchored(t)[0], list(range(t.n))
 
 
+def _flat_f(t):
+    return [1] * t.n, _anchored(t)[1]
+
+
 def _uneven_on_k2(t):
     return ([1, 2], [1, 2]) if t.n == 2 else _anchored(t)
+
+
+def _uneven_f_on_k2(t):
+    return ([1, 2], _anchored(t)[1]) if t.n == 2 else _anchored(t)
+
+
+def _uneven_fstar_on_k2(t):
+    return (_anchored(t)[0], [1, 2]) if t.n == 2 else _anchored(t)
+
+
+def _f_tilted(t):
+    """F scaled up, plus a term that tells mirror-image labellings apart."""
+    f, fs = _totals(t)
+    return f * 10**6 + sum(u * v for u, v in t.edges), fs
 
 
 class TestBrokenCounterFailsEverySuite:
@@ -244,6 +288,8 @@ class TestBrokenCounterFailsEverySuite:
         ("L3.2", "subtree_totals", _constant_totals,
          "7\n0 4\n1 2\n1 5\n2 4\n3 4\n4 6\n"),
         ("L3.2", "subtree_totals", _constant_fstar,
+         "7\n0 4\n1 2\n1 5\n2 4\n3 4\n4 6\n"),
+        ("L3.2", "subtree_totals", _constant_f,
          "7\n0 4\n1 2\n1 5\n2 4\n3 4\n4 6\n"),
         ("L3.3", "subtree_totals", _constant_totals,
          "8\n0 1\n0 7\n1 5\n2 3\n2 5\n4 7\n6 7\n"),
@@ -260,6 +306,20 @@ class TestBrokenCounterFailsEverySuite:
         ("path-comparison", "anchored_counts", _flat_anchored, None),
         ("path-comparison", "anchored_counts", _fstar_by_label, None),
         ("pendant-edge", "anchored_counts", _uneven_on_k2, "2\n0 1\n"),
+        # one count broken at a time, so that each inequality is read alone
+        ("L3.3", "subtree_totals", _constant_f,
+         "8\n0 1\n0 7\n1 5\n2 3\n2 5\n4 7\n6 7\n"),
+        ("L3.3", "subtree_totals", _constant_fstar,
+         "8\n0 1\n0 7\n1 5\n2 3\n2 5\n4 7\n6 7\n"),
+        ("leaf-deletion", "subtree_totals", _constant_f, "6\n0 4\n1 2\n1 4\n2 5\n3 4\n"),
+        ("leaf-deletion", "subtree_totals", _constant_fstar, "6\n0 4\n1 2\n1 4\n2 5\n3 4\n"),
+        ("leaf-deletion", "anchored_counts", _flat_f, "6\n0 4\n1 2\n1 4\n2 5\n3 4\n"),
+        ("pendant-edge", "anchored_counts", _flat_f, "6\n0 4\n1 2\n1 4\n2 5\n3 4\n"),
+        ("pendant-edge", "anchored_counts", _uneven_f_on_k2, "2\n0 1\n"),
+        ("pendant-edge", "anchored_counts", _uneven_fstar_on_k2, "2\n0 1\n"),
+        ("path-attachment", "subtree_totals", _constant_f, "5\n0 2\n1 2\n2 3\n3 4\n"),
+        ("path-attachment", "subtree_totals", _constant_fstar, "5\n0 2\n1 2\n2 3\n3 4\n"),
+        ("path-attachment", "subtree_totals", _f_tilted, "5\n0 2\n1 2\n2 3\n3 4\n"),
     ]
 
     @pytest.mark.parametrize("tag, helper, broken, first", CASES,
@@ -281,6 +341,33 @@ def test_path_comparison_hypothesis_check_is_not_an_assert(monkeypatch):
     monkeypatch.setattr(verify, "_grow", lambda t, root, rng, extra: (Tree(1, []), 0))
     with pytest.raises(RuntimeError, match="seed 5"):
         run_lemma_suite("path-comparison", samples=50, seed=5)
+
+
+def test_b_suite_keeps_the_smaller_endpoint(monkeypatch):
+    """L3.2 rewrites each drawn internal edge once, keeping its smaller label."""
+    calls = []
+    real = verify.b_transform
+    monkeypatch.setattr(verify, "b_transform",
+                        lambda t, u, v: calls.append((u, v)) or real(t, u, v))
+    assert run_lemma_suite("L3.2", samples=50, seed=1)[0].passed
+    assert len(calls) == 50 and all(u < v for u, v in calls)
+
+
+@pytest.mark.parametrize("counter", ["count_subtrees_at", "count_leaf_subtrees_at"])
+def test_path_comparison_hypothesis_reads_both_counts(monkeypatch, counter):
+    # negated, one count makes a side grown by a leaf smaller than the side it
+    # grew from, while the other still dominates: the check must see either alone
+    real = getattr(counting, counter)
+    monkeypatch.setattr(counting, counter, lambda t, v: -real(t, v))
+    with pytest.raises(RuntimeError, match="side-domination"):
+        run_lemma_suite("path-comparison", samples=50, seed=5)
+
+
+def test_lemma_defaults_and_smallest_sample():
+    """300 samples at seed 0 by default, and one sample is a run."""
+    assert run_lemma_suite("pendant-edge")[0].constraint == {"samples": 300, "seed": 0}
+    res, = run_lemma_suite("L3.2", samples=1)
+    assert res.passed and res.constraint == {"samples": 1, "seed": 0}
 
 
 class TestExtremumMerge:
