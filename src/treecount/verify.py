@@ -167,14 +167,6 @@ def _merge_entry(slot: dict, qty: str, val: int, seqs: Iterable, mode: str) -> N
         cur[1].update(seqs)
 
 
-def _merge_class(into: list, record: list, mode: str) -> None:
-    """Fold one class record, [size, {qty: [extreme value, set of
-    extremizers]}], into another."""
-    into[0] += record[0]
-    for qty, (val, seqs) in record[1].items():
-        _merge_entry(into[1], qty, val, seqs, mode)
-
-
 def _scan_shard(tag: str, seqs: Iterable[tuple[int, ...]]) -> dict:
     """Aggregate the level sequences of one enumeration shard into one
     record per class: key -> [size, {qty: [extreme value, set of generator
@@ -191,39 +183,36 @@ def _scan_shard(tag: str, seqs: Iterable[tuple[int, ...]]) -> dict:
     return agg
 
 
-def _reduce(th: _Theorem, parts: list) -> dict:
-    """Merge the shards of one order, then name each surviving extremizer by
-    its canonical level sequence instead of the generator's."""
-    agg, *rest = parts
-    for part in rest:
-        for key, record in part.items():
-            _merge_class(agg.setdefault(key, [0, {}]), record, th.extremum or key)
-    canon: dict = {}
-    for _, slot in agg.values():
-        for entry in slot.values():
-            for seq in entry[1]:
-                if seq not in canon:
-                    canon[seq] = canonical_form(tree_from_level_sequence(seq)).level_seq
-            entry[1] = {canon[seq] for seq in entry[1]}
-    return agg
+def _class_record(th: _Theorem, parts: list, key) -> list:
+    """One class's record, [size, {qty: [extreme value, set of canonical
+    level sequences]}], merged from every shard record whose key the class
+    holds: its own, or any key >= it for a threshold class.  No shard record
+    changes, and each winner is canonicalised once."""
+    record = [0, {}]
+    for part in parts:
+        for k, (size, slot) in part.items():
+            if (k >= key if th.threshold else k == key):
+                record[0] += size
+                for qty, (val, seqs) in slot.items():
+                    _merge_entry(record[1], qty, val, seqs, th.extremum or key)
+    canon = {seq: canonical_form(tree_from_level_sequence(seq)).level_seq
+             for seq in set().union(*(seqs for _, seqs in record[1].values()))}
+    for entry in record[1].values():
+        entry[1] = {canon[seq] for seq in entry[1]}
+    return record
 
 
 # ---------------------------------------------------------------------------
 # row assembly
 # ---------------------------------------------------------------------------
 
-def _assemble(tag: str, n: int, agg: dict, formula_variant: str) -> list[VerificationResult]:
+def _assemble(tag: str, n: int, parts: list, formula_variant: str) -> list[VerificationResult]:
     th = _THEOREMS[tag]
     hat = tag == "T4.8"
     notes = _PRODUCT_NOTE if hat and formula_variant == "product" else ""
     rows: list[VerificationResult] = []
     for constraint, key, spec in th.classes(n):
-        # a threshold class holds every key >= its own
-        record = [0, {}]
-        for k, other in agg.items():
-            if k == key or th.threshold and k >= key:
-                _merge_class(record, other, th.extremum or key)
-        size, slot = record
+        size, slot = _class_record(th, parts, key)
         if not size:
             rows.append(VerificationResult(tag, n, constraint, None, None, (), None, True,
                                            class_size=0, notes="empty class"))
@@ -292,7 +281,7 @@ def verify_theorem(tag: str, n_min: int | None = None, n_max: int | None = None,
     orders = theorem_orders(tag, n_min, n_max)
     rows: list[VerificationResult] = []
     for n, parts in zip(orders, map_shards(partial(_scan_shard, tag), orders, jobs)):
-        rows.extend(_assemble(tag, n, _reduce(_THEOREMS[tag], parts), formula_variant))
+        rows.extend(_assemble(tag, n, parts, formula_variant))
     return rows
 
 

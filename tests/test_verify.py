@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import random
@@ -111,6 +112,9 @@ class TestDeterminismAndSerialization:
     def test_one_fork_per_extra_shard_capped_by_cpus(self, monkeypatch, forks):
         want = [r.to_json_dict() for r in verify_theorem("T4.7", n_min=5, n_max=9, jobs=1)]
         assert forks == []
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        assert [r.to_json_dict() for r in verify_theorem("T4.7", n_min=5, n_max=9)] == want
+        assert forks == []  # one shard by default, even with a CPU to spare
         monkeypatch.setattr("os.cpu_count", lambda: 1)
         assert [r.to_json_dict() for r in verify_theorem("T4.7", n_min=5, n_max=9, jobs=3)] == want
         assert forks == []  # one CPU: one shard per order, run in this process
@@ -403,12 +407,28 @@ class TestExtremumMerge:
             for w in (1, 2, 3):
                 parts = [verify._scan_shard("ties", chain.from_iterable(_runs(n, s, w)))
                          for s in range(w)]
-                agg = verify._reduce(th, parts)
-                assert {key: slot for key, (_, slot) in agg.items()} == want, (n, w)
-                assert {key: size for key, (size, _) in agg.items()} == \
+                assert set().union(*parts) == set(classes), (n, w)
+                records = {key: verify._class_record(th, parts, key) for key in classes}
+                assert {key: slot for key, (_, slot) in records.items()} == want, (n, w)
+                assert {key: size for key, (size, _) in records.items()} == \
                     {key: len(m) for key, m in classes.items()}, (n, w)
         # tied (order, class, quantity) cells, each under three shardings
         assert tied == ties
+
+    @pytest.mark.parametrize("tag", ["T4.5", "T4.6", "L2star"])
+    def test_class_reads_leave_the_shards_as_they_were(self, tag):
+        """Every class of an order reads the same record whichever class is
+        read first, and no read changes a shard record, so several tags
+        could read one order's shards."""
+        th = verify._THEOREMS[tag]
+        parts = [verify._scan_shard(tag, chain.from_iterable(_runs(10, s, 2)))
+                 for s in range(2)]
+        before = copy.deepcopy(parts)
+        keys = [key for _, key, _ in th.classes(10)]
+        forward = [verify._class_record(th, parts, key) for key in keys]
+        backward = [verify._class_record(th, parts, key) for key in reversed(keys)]
+        assert forward == backward[::-1]
+        assert parts == before
 
 
 class TestRegressionDigests:
@@ -447,7 +467,7 @@ class TestFailingRows:
         other = canonical_form(Tree(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])).level_seq
         claimed = closed_form(spec, "Fstar").value
         agg = {3: [2, {"Fstar": [claimed, {member, other}]}]}
-        rows = [r for r in verify._assemble("T4.7", 6, agg, "sum") if r.class_size]
+        rows = [r for r in verify._assemble("T4.7", 6, [agg], "sum") if r.class_size]
         assert len(rows) == 1
         row = rows[0]
         assert (row.claimed, row.achieved, row.passed) == (claimed, claimed, False)
