@@ -53,9 +53,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="subtree counts and Wiener index of one tree")
+    p.set_defaults(run=_cmd_count)
     _add_io_args(p).add_argument("--csv", action="store_true", help="emit CSV instead of text")
 
     p = sub.add_parser("construct", help="build a named extremal family member")
+    p.set_defaults(run=_cmd_construct)
     p.add_argument("--family", required=True, choices=FAMILIES)
     for field in FamilySpec._fields[1:]:
         p.add_argument(f"--{field}", type=int)
@@ -64,6 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("edgelist", "levelseq"), default="edgelist")
 
     p = sub.add_parser("transform", help="apply one tree rewrite")
+    p.set_defaults(run=_cmd_transform)
     _add_io_args(p)
     p.add_argument("--kind", required=True, choices=("A", "B", "C", "Cprime"))
     p.add_argument("--u", type=int, help="A: cut vertex; B: kept endpoint")
@@ -71,6 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--component-root", type=int, help="A: vertex naming the branch")
 
     p = sub.add_parser("enumerate", help="all non-isomorphic trees of one order")
+    p.set_defaults(run=_cmd_enumerate)
     p.add_argument("--n", type=int, required=True)
     for field in TreeConstraint._fields:
         flag = "--" + field.replace("_", "-")
@@ -84,8 +88,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("verify", help="check a theorem exhaustively or run a lemma suite")
-    p.add_argument("--theorem", choices=THEOREM_TAGS)
-    p.add_argument("--lemma", choices=LEMMA_TAGS)
+    p.set_defaults(run=_cmd_verify)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--theorem", choices=THEOREM_TAGS)
+    mode.add_argument("--lemma", choices=LEMMA_TAGS)
     p.add_argument("--n-min", type=int)
     p.add_argument("--n-max", type=int)
     p.add_argument("--jobs", type=int, help="theorem only (default 1)")
@@ -98,6 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", action="store_true")
 
     p = sub.add_parser("profile", help="matching/domination/diameter/leaf profile")
+    p.set_defaults(run=_cmd_profile)
     _add_io_args(p).add_argument("--csv", action="store_true", help="emit CSV instead of text")
 
     return parser
@@ -187,9 +194,6 @@ _LEMMA_FLAGS = {"samples": 300, "seed": 0}
 
 
 def _cmd_verify(args) -> int:
-    if (args.theorem is None) == (args.lemma is None):
-        print("verify: exactly one of --theorem/--lemma is required", file=sys.stderr)
-        return 2
     mode, own, other = (("--theorem", _THEOREM_FLAGS, _LEMMA_FLAGS) if args.theorem
                         else ("--lemma", _LEMMA_FLAGS, _THEOREM_FLAGS))
     stray = ["--" + k.replace("_", "-") for k in other if getattr(args, k) is not None]
@@ -266,16 +270,6 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "count": _cmd_count,
-    "construct": _cmd_construct,
-    "transform": _cmd_transform,
-    "enumerate": _cmd_enumerate,
-    "verify": _cmd_verify,
-    "profile": _cmd_profile,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -285,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        status = _COMMANDS[args.command](args)
+        status = args.run(args)
         sys.stdout.flush()  # so that a closed pipe is met here, not at exit
         return status
     except BrokenPipeError:

@@ -11,7 +11,7 @@ import pytest
 
 from schemas import (COUNT_REPORT_SCHEMA, PROFILE_SCHEMA, TRANSFORM_DELTA_SCHEMA,
                      VERIFICATION_SCHEMA)
-from treecount import verify
+from treecount import cli, verify
 from treecount.cli import _build_parser, main
 from treecount.enumeration import TreeConstraint
 from treecount.families import _SHAPES, FAMILIES, FamilySpec
@@ -47,6 +47,15 @@ def test_parameter_flags_are_the_record_fields(command, fields):
     dests = [a.dest for a in sub.choices[command]._actions]
     start = dests.index(fields[0])
     assert dests[start:start + len(fields)] == list(fields)
+
+
+@pytest.mark.parametrize("name", ["count", "construct", "transform", "enumerate", "verify",
+                                  "profile"])
+def test_each_subcommand_binds_its_handler(name):
+    # main runs the handler that the subcommand's parser names
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sub.choices[name].get_default("run") is getattr(cli, f"_cmd_{name}")
 
 
 class TestCount:
@@ -550,9 +559,22 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", *argv)
         assert code == 0 and out.splitlines()[1:-1] == rows
 
-    def test_requires_exactly_one_target(self, capsys):
-        code, _, err = run_cli(capsys, "verify")
-        assert code == 2 and "--theorem/--lemma" in err
+    @pytest.mark.parametrize("argv", [
+        pytest.param([], id="neither"),
+        pytest.param(["--theorem", "T4.1", "--lemma", "L3.2"], id="both"),
+    ])
+    @pytest.mark.parametrize("report", [False, True], ids=["no-json", "json"])
+    def test_requires_exactly_one_target(self, capsys, tmp_path, argv, report):
+        # argparse refuses the argv before any work: a --json PATH keeps its bytes
+        path = tmp_path / "r.json"
+        path.write_bytes(b"keep\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", *argv, *(["--json", str(path)] if report else [])])
+        out, err = capsys.readouterr()
+        message = err.splitlines()[-1]
+        assert exc.value.code == 2 and out == "" and "Traceback" not in err
+        assert "--theorem" in message and "--lemma" in message
+        assert path.read_bytes() == b"keep\n" and list(tmp_path.iterdir()) == [path]
 
     def test_byte_identical_reruns(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "--theorem", "T4.1",

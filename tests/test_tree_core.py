@@ -80,6 +80,8 @@ class TestParse:
          "level sequence entries must be integers"),
         ("0 1 1.5\n", "levelseq", MalformedInputError,
          "level sequence entries must be integers"),
+        ("0 0\n", "levelseq", MalformedInputError, "invalid depth 0 at position 1"),
+        ("0 1 0\n", "levelseq", MalformedInputError, "invalid depth 0 at position 2"),
         ("1\n", "dot", ValueError, "unknown format 'dot'"),
     ])
     def test_input_errors(self, text, fmt, error, message):
