@@ -28,9 +28,8 @@ from .verify import (LEMMA_TAGS, THEOREM_TAGS, run_lemma_suite, theorem_orders,
 
 
 def _read_tree(path: str, fmt: str):
-    if path == "-":
-        return parse_tree(sys.stdin.read(), fmt)
-    with open(path, "r", encoding="ascii") as fh:
+    # "-" is descriptor 0, read as a file is (ASCII, universal newlines) and left open
+    with open(0 if path == "-" else path, encoding="ascii", closefd=path != "-") as fh:
         return parse_tree(fh.read(), fmt)
 
 
@@ -198,8 +197,7 @@ def _cmd_verify(args) -> int:
                         else ("--lemma", _LEMMA_FLAGS, _THEOREM_FLAGS))
     stray = ["--" + k.replace("_", "-") for k in other if getattr(args, k) is not None]
     if stray:
-        print(f"verify: {' '.join(stray)} cannot be used with {mode}", file=sys.stderr)
-        return 2
+        raise ValueError(f"{' '.join(stray)} cannot be used with {mode}")
     for k, default in own.items():
         if getattr(args, k) is None:
             setattr(args, k, default)
@@ -232,9 +230,8 @@ def _cmd_verify(args) -> int:
             os.remove(part.name)
     print(header)
     if args.csv:
-        rows = [[r.theorem, r.n if r.n is not None else "",
-                 json.dumps(r.constraint), r.claimed if r.claimed is not None else "",
-                 r.achieved if r.achieved is not None else "",
+        # csv.writer writes None as an empty field
+        rows = [[r.theorem, r.n, json.dumps(r.constraint), r.claimed, r.achieved,
                  "pass" if r.passed else "FAIL"] for r in results]
         _write_csv(["theorem", "n", "constraint", "claimed", "achieved", "result"], rows)
     else:
@@ -275,9 +272,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     # exact counts such as 2^(n-1) on a star outgrow the default 4300-digit
     # int-to-str limit; it is process-wide, so it is put back on return
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         status = args.run(args)
         sys.stdout.flush()  # so that a closed pipe is met here, not at exit
@@ -297,8 +293,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"treecount {args.command}: internal error: {exc}", file=sys.stderr)
         return 3
     finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 import argparse
 import hashlib
-import io
 import json
 import os
 import random
+import subprocess
 import sys
 
 import jsonschema
@@ -11,6 +11,7 @@ import pytest
 
 from schemas import (COUNT_REPORT_SCHEMA, PROFILE_SCHEMA, TRANSFORM_DELTA_SCHEMA,
                      VERIFICATION_SCHEMA)
+from test_startup import child_env
 from treecount import cli, verify
 from treecount.cli import _build_parser, main
 from treecount.enumeration import TreeConstraint
@@ -34,6 +35,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv, stdin=b"", **popen):
+    """``python -m treecount.cli`` with these bytes on stdin: (status,
+    stdout, stderr), the last two as bytes."""
+    done = subprocess.run([sys.executable, "-m", "treecount.cli", *argv], input=stdin,
+                          capture_output=True, timeout=120, env=child_env(), **popen)
+    return done.returncode, done.stdout, done.stderr
 
 
 @pytest.mark.parametrize("command, fields", [("construct", FamilySpec._fields),
@@ -154,23 +163,59 @@ class TestInput:
         ("0\n", "edgelist", "vertex count must be positive"),
         ("1 2 2\n", "levelseq", "level sequence must start at depth 0"),
         ("0 1 x\n", "levelseq", "level sequence entries must be integers"),
+        ("3\n0 \u0661\n1 2\n", "edgelist",   # a UTF-8 digit: tree files are ASCII
+         "'ascii' codec can't decode byte 0xd9 in position 4: ordinal not in range(128)"),
     ])
     @pytest.mark.parametrize("command", ["count", "profile"])
     def test_bad_input_is_one_line(self, capsys, tmp_path, command, text, fmt, message):
         f = tmp_path / "bad.tree"
-        f.write_text(text)
+        f.write_text(text, encoding="utf-8")
         got = run_cli(capsys, command, "--input", str(f), "--format", fmt)
         assert got == (2, "", f"treecount {command}: {message}\n")
 
     @pytest.mark.parametrize("command", ["count", "profile", "transform"])
-    def test_stdin_is_read_for_dash(self, capsys, monkeypatch, p5_file, command):
+    def test_stdin_is_read_for_dash(self, p5_file, command):
         argv = [command, "--json"] + (["--kind", "B", "--u", "1", "--v", "2"]
                                       if command == "transform" else [])
-        want = run_cli(capsys, *argv, "--input", p5_file)
-        with open(p5_file) as fh:
-            monkeypatch.setattr("sys.stdin", io.StringIO(fh.read()))
-        assert run_cli(capsys, *argv, "--input", "-") == want
+        want = run_module(*argv, "--input", p5_file)
+        with open(p5_file, "rb") as fh:
+            assert run_module(*argv, "--input", "-", stdin=fh.read()) == want
         assert want[0] == 0
+
+    def test_dash_reads_as_a_file_does(self, tmp_path):
+        # same status, stdout and stderr from the bytes on stdin as from the
+        # file: ASCII only, and LF, CRLF or CR line endings
+        inputs = {**_FUZZ_INPUTS, "utf8-digit": "3\n0 \u0661\n1 2\n".encode(),
+                  "cr-only": b"3\r0 1\r1 2\r"}
+        differ, codes = [], set()
+        for name, data in inputs.items():
+            path = tmp_path / name
+            path.write_bytes(data)
+            for fmt in ("edgelist", "levelseq"):
+                argv = ["count", "--format", fmt, "--input"]
+                want = run_module(*argv, str(path))
+                codes.add(want[0])
+                if run_module(*argv, "-", stdin=data) != want:
+                    differ.append((name, fmt))
+        assert differ == [] and codes == {0, 2}
+
+    def test_dash_leaves_descriptor_0_open(self, capsys, p5_file):
+        # main reads the caller's descriptor 0 and leaves it open for the caller
+        want = run_cli(capsys, "count", "--input", p5_file)
+        saved = os.dup(0)
+        try:
+            with open(p5_file, "rb") as fh:
+                os.dup2(fh.fileno(), 0)
+            assert run_cli(capsys, "count", "--input", "-") == want
+            os.fstat(0)
+        finally:
+            os.dup2(saved, 0)
+            os.close(saved)
+
+    def test_closed_stdin_is_a_usage_error(self):
+        code, out, err = run_module("count", "--input", "-", preexec_fn=lambda: os.close(0))
+        assert (code, out) == (2, b"") and err.startswith(b"treecount count: ")
+        assert err.count(b"\n") == 1 and err.endswith(b"\n") and b"Traceback" not in err
 
 
 class TestConstruct:
@@ -529,7 +574,7 @@ class TestVerify:
     def test_flags_of_other_mode_rejected(self, capsys, argv, stray):
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2 and out == ""
-        assert err == f"verify: {' '.join(stray)} cannot be used with {argv[0]}\n"
+        assert err == f"treecount verify: {' '.join(stray)} cannot be used with {argv[0]}\n"
 
     @pytest.mark.parametrize("argv, header", [
         (["--lemma", "L3.2", "--samples", "40"], "# lemma=L3.2 samples=40 seed=0"),

@@ -65,6 +65,11 @@ class TestGenerator:
         with pytest.raises(TooLargeError, match=f"^order {n} outside 1..{MAX_ORDER}$"):
             map_shards(next, [5, n], 1)
 
+    def test_shards_take_both_ends_of_the_range(self):
+        # next reads one sequence, so order MAX_ORDER costs no enumeration
+        assert map_shards(next, [1, MAX_ORDER], 1) == [[(0,)],
+                                                       [next(all_level_sequences(MAX_ORDER))]]
+
 
 def _listed(runs):
     return [list(run) for run in runs]
@@ -158,6 +163,12 @@ class TestSharding:
         for n, parts in zip(orders, got):
             assert _merged(parts) == list(all_level_sequences(n))
 
+    def test_unknown_cpu_count_means_one_shard(self, monkeypatch, forks):
+        # os.cpu_count() is None where the count cannot be read
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        assert map_shards(list, [7], 4) == [[list(all_level_sequences(7))]]
+        assert forks == []
+
     def test_bad_shard(self):
         for jobs in (0, -1):
             with pytest.raises(ValueError):
@@ -219,6 +230,14 @@ class TestForkJoin:
     def test_child_without_a_result(self, forks):
         with pytest.raises(RuntimeError, match="ended with no result"):
             map_shards(partial(_vanish_in_child, os.getpid()), [8], 2)
+        assert len(forks) == 1
+        self.assert_reaped(forks)
+
+    def test_child_whose_result_cannot_pickle(self, forks):
+        # the child leaves with status 1 and nothing written
+        with pytest.raises(RuntimeError, match=r"^shard 1 of 2 ended with no result "
+                                               r"\(exit status 1\)$"):
+            map_shards(lambda seqs: lambda: None, [8], 2)
         assert len(forks) == 1
         self.assert_reaped(forks)
 
